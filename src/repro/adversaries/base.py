@@ -2,8 +2,10 @@
 
 An adversary produces the edge set ``E_r`` of every round.  The engine calls
 :meth:`Adversary.reset` once per execution (handing it the problem instance
-and a private random generator) and then :meth:`Adversary.edges_for_round`
-once per round.
+and a private random generator) and then :meth:`Adversary.edge_ids_for_round`
+once per round.  Its default asks :meth:`Adversary.edges_for_round` for node
+tuples and encodes them as integer edge ids; subclasses only have to
+implement :meth:`Adversary.edges_for_round`.
 
 Adaptive adversaries receive a :class:`~repro.core.observation.RoundObservation`
 describing the algorithm's state; oblivious adversaries receive ``None`` —
@@ -15,16 +17,32 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.core.observation import RoundObservation
 from repro.core.problem import DisseminationProblem
+from repro.core.state import edge_id
 from repro.utils.ids import Edge, NodeId
-from repro.utils.validation import SimulationError
+from repro.utils.validation import ConfigurationError, SimulationError
 
 
 class Adversary(abc.ABC):
-    """Base class for all adversaries."""
+    """Base class for all adversaries.
+
+    Subclasses implement :meth:`edges_for_round`.  The round kernel asks
+    for each round graph through :meth:`edge_ids_for_round` instead, as a
+    frozenset of integer edge ids: with ``index_of`` mapping every node to
+    its position in the sorted node set of ``n`` nodes, the edge ``{u, v}``
+    has id ``min(a, b) * n + max(a, b)`` for ``a, b = index_of[u],
+    index_of[v]`` (:func:`repro.core.state.edge_id`).  The default converts
+    the tuples of :meth:`edges_for_round`, rejecting endpoints outside the
+    node set and self-loops.  Override it when the adversary can keep its
+    graph as ids itself and so skip building and converting tuples every
+    round (:class:`~repro.adversaries.oblivious.ControlledChurnAdversary`
+    does).  An override must return canonical ids for the same graph
+    :meth:`edges_for_round` would return, and must advance the adversary's
+    state exactly as one :meth:`edges_for_round` call would.
+    """
 
     #: Human-readable name used in results and reports.
     name: str = "adversary"
@@ -84,6 +102,41 @@ class Adversary(abc.ABC):
         self, round_index: int, observation: Optional[RoundObservation]
     ) -> Iterable[Edge]:
         """Return the edge set ``E_r`` of round ``round_index`` (must be connected)."""
+
+    def edge_ids_for_round(
+        self,
+        round_index: int,
+        observation: Optional[RoundObservation],
+        index_of: Dict[NodeId, int],
+    ) -> FrozenSet[int]:
+        """Return ``E_r`` as a frozenset of integer edge ids (see the class
+        docstring for the encoding).
+
+        Schedule-replaying adversaries return the same frozenset object for
+        repeated rounds; its ids are computed once and the identical id
+        frozenset is returned again, which lets the kernel skip the delta.
+        """
+        raw = self.edges_for_round(round_index, observation)
+        cache = getattr(self, "_edge_id_cache", None)
+        if cache is not None and cache[0] is raw and cache[1] is index_of:
+            return cache[2]
+        n = len(index_of)
+        ids: Set[int] = set()
+        add = ids.add
+        for u, v in raw:
+            iu = index_of.get(u)
+            iv = index_of.get(v)
+            if iu is None or iv is None:
+                raise ConfigurationError(
+                    f"edge ({u}, {v}) has an endpoint outside the node set"
+                )
+            if iu == iv:
+                raise ConfigurationError(f"self-loop edges are not allowed: ({u}, {v})")
+            add(edge_id(iu, iv, n))
+        frozen = frozenset(ids)
+        if isinstance(raw, frozenset):
+            self._edge_id_cache = (raw, index_of, frozen)
+        return frozen
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, oblivious={self.oblivious})"

@@ -14,14 +14,20 @@ execution starts (Section 1.3).  We provide two flavours:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from bisect import bisect_left, insort
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.adversaries.base import Adversary
 from repro.core.observation import RoundObservation
-from repro.dynamics.connectivity import ensure_connected, is_connected
+from repro.core.state import bit_indices, edge_id
+from repro.dynamics.connectivity import (
+    is_connected,
+    mask_components,
+    toggle_edge_ids,
+)
 from repro.dynamics.generators import random_connected_edges
 from repro.dynamics.graph_sequence import GraphSchedule
-from repro.utils.ids import Edge, normalize_edge
+from repro.utils.ids import Edge, NodeId, normalize_edge
 from repro.utils.validation import (
     ConfigurationError,
     require_non_negative_int,
@@ -116,6 +122,18 @@ class ControlledChurnAdversary(Adversary):
     ``changes_per_round · x`` plus the initial edges, which makes this
     adversary the workhorse for sweeping ``TC(E)`` in the
     adversary-competitive experiments.
+
+    The graph is kept as integer edge ids over positions in the sorted node
+    set (the kernel's encoding): ascending lists of the present and the
+    absent pair ids plus per-node adjacency bitmasks, so
+    :meth:`edge_ids_for_round` hands the kernel ids without building a
+    tuple per node pair; :meth:`edges_for_round` is a tuple view of the same
+    ids.  Ascending ids are the lexicographic order of the sorted node
+    tuples, so the random draws are those of the tuple formulation: a
+    G(n, p) sample repaired by
+    :func:`~repro.dynamics.connectivity.ensure_connected`, then per round a
+    sample of the sorted edges to remove, a sample of the sorted absent
+    pairs to insert, and the same repair.
     """
 
     oblivious = True
@@ -131,7 +149,11 @@ class ControlledChurnAdversary(Adversary):
         require_probability(edge_probability, "edge_probability")
         self._changes_per_round = changes_per_round
         self._edge_probability = edge_probability
-        self._current: Optional[Set[Edge]] = None
+        self._present: Optional[List[int]] = None
+        self._absent: List[int] = []
+        self._adj: List[int] = []
+        self._round_ids: FrozenSet[int] = frozenset()
+        self._native_index_of: Optional[Dict[NodeId, int]] = None
         self.name = name
 
     @property
@@ -140,36 +162,77 @@ class ControlledChurnAdversary(Adversary):
         return self._changes_per_round
 
     def on_reset(self) -> None:
-        self._current = None
+        n = len(self.nodes)
+        self._present = None
+        self._absent = [a * n + b for a in range(n) for b in range(a + 1, n)]
+        self._adj = [0] * n
+        self._round_ids = frozenset()
+        self._native_index_of = None
 
-    def _initial_edges(self) -> Set[Edge]:
-        return set(
-            random_connected_edges(self.nodes, self._edge_probability, self.rng)
-        )
+    @staticmethod
+    def _move(ids: List[int], source: List[int], target: List[int]) -> None:
+        """Move ``ids`` from one ascending id list to the other."""
+        for eid in ids:
+            del source[bisect_left(source, eid)]
+            insort(target, eid)
+
+    def _next_round_ids(self) -> FrozenSet[int]:
+        """Play one round and return its edge ids."""
+        rng = self.rng
+        adj = self._adj
+        present, absent = self._present, self._absent
+        if present is None:
+            # The G(n, p) draw: one ``rng.random()`` per pair, in order.
+            probability = self._edge_probability
+            pairs = absent
+            present, absent = [], []
+            self._present, self._absent = present, absent
+            for eid in pairs:
+                (present if rng.random() < probability else absent).append(eid)
+            toggle_edge_ids(adj, present)
+        elif self._changes_per_round == 0:
+            return self._round_ids
+        else:
+            removed = rng.sample(present, min(self._changes_per_round, len(present)))
+            self._move(removed, present, absent)
+            inserted = rng.sample(absent, min(len(removed), len(absent)))
+            self._move(inserted, absent, present)
+            toggle_edge_ids(adj, removed)
+            toggle_edge_ids(adj, inserted)
+        # Chain the components together exactly as ``ensure_connected`` does.
+        components = mask_components(adj)
+        if len(components) > 1:
+            representatives = [rng.choice(bit_indices(mask)) for mask in components]
+            rng.shuffle(representatives)
+            n = len(adj)
+            connectors = [
+                edge_id(left, right, n)
+                for left, right in zip(representatives, representatives[1:])
+            ]
+            self._move(connectors, absent, present)
+            toggle_edge_ids(adj, connectors)
+        self._round_ids = frozenset(present)
+        return self._round_ids
+
+    def edge_ids_for_round(
+        self,
+        round_index: int,
+        observation: Optional[RoundObservation],
+        index_of: Dict[NodeId, int],
+    ) -> FrozenSet[int]:
+        if index_of is not self._native_index_of:
+            nodes = self.nodes
+            if len(index_of) != len(nodes) or any(
+                index_of.get(node) != index for index, node in enumerate(nodes)
+            ):
+                # Not the positions this adversary encodes: go through tuples.
+                return super().edge_ids_for_round(round_index, observation, index_of)
+            self._native_index_of = index_of
+        return self._next_round_ids()
 
     def edges_for_round(
         self, round_index: int, observation: Optional[RoundObservation]
     ) -> Iterable[Edge]:
-        if self._current is None:
-            self._current = self._initial_edges()
-            return set(self._current)
-        if self._changes_per_round == 0:
-            return set(self._current)
-        nodes = list(self.nodes)
-        edges = set(self._current)
-        removable = sorted(edges)
-        to_remove = self.rng.sample(
-            removable, min(self._changes_per_round, len(removable))
-        )
-        for edge in to_remove:
-            edges.discard(edge)
-        candidates = [
-            normalize_edge(u, v)
-            for index, u in enumerate(nodes)
-            for v in nodes[index + 1 :]
-            if normalize_edge(u, v) not in edges
-        ]
-        to_add = self.rng.sample(candidates, min(len(to_remove), len(candidates)))
-        edges.update(to_add)
-        self._current = set(ensure_connected(nodes, edges, self.rng))
-        return set(self._current)
+        nodes = self.nodes
+        n = len(nodes)
+        return {(nodes[eid // n], nodes[eid % n]) for eid in self._next_round_ids()}

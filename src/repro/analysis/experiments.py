@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.problem import DisseminationProblem
 from repro.core.result import ExecutionResult
+from repro.core.state import require_numpy
 from repro.utils.rng import derive_seed
 from repro.utils.validation import ConfigurationError, require_positive_int
 
@@ -184,13 +183,18 @@ def aggregate_records(
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Fit ``y ≈ c · x^α`` by least squares in log-log space; returns ``(α, c)``."""
+    """Fit ``y ≈ c · x^α`` by least squares in log-log space; returns ``(α, c)``.
+
+    Needs numpy (the ``repro[fast]`` extra); without it this raises
+    :class:`~repro.utils.validation.ConfigurationError`.
+    """
     if len(xs) != len(ys):
         raise ConfigurationError("xs and ys must have the same length")
     if len(xs) < 2:
         raise ConfigurationError("at least two points are needed for a power-law fit")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ConfigurationError("power-law fitting requires strictly positive data")
+    np = require_numpy("power-law fitting")
     log_x = np.log(np.asarray(xs, dtype=float))
     log_y = np.log(np.asarray(ys, dtype=float))
     exponent, intercept = np.polyfit(log_x, log_y, 1)

@@ -50,7 +50,9 @@ class Simulator:
         algorithm: a :class:`LocalBroadcastAlgorithm` or :class:`UnicastAlgorithm`.
         adversary: any object following the adversary protocol of
             :mod:`repro.adversaries` (``oblivious`` flag, ``reset`` and
-            ``edges_for_round``).
+            ``edge_ids_for_round``, which subclasses of
+            :class:`~repro.adversaries.base.Adversary` inherit on top of
+            their ``edges_for_round``).
         max_rounds: round limit; defaults to :func:`default_round_limit`.
         seed: base seed; the algorithm and the adversary receive independent
             generators derived from it.

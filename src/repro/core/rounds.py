@@ -13,8 +13,8 @@ four explicit stages, driven by :class:`RoundKernel`:
    Adaptive adversaries receive a :class:`~repro.core.observation.RoundObservation`
    built lazily from the live execution state; oblivious adversaries receive
    ``None`` (obliviousness is enforced structurally, here).  The stage
-   normalizes edges to integer ids, records the trace, validates per-round
-   connectivity and maintains per-node adjacency bitmasks.
+   takes the round graph as integer edge ids, records the trace, maintains
+   per-node adjacency bitmasks and validates per-round connectivity on them.
 3. :class:`DeliveryStage` — messages are selected (unicast) and delivered,
    and every message is counted.
 4. :class:`AccountingStage` — per-kind / per-round / per-node message
@@ -40,7 +40,7 @@ guard the per-algorithm delta logic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # imported lazily at runtime: algorithm modules carry
     # their fast programs and import this module, so a module-level import
@@ -61,6 +61,7 @@ from repro.core.state import (
     edge_id,
 )
 from repro.core.tokens import Token
+from repro.dynamics.connectivity import mask_components, toggle_edge_ids
 from repro.dynamics.graph_sequence import EdgeIdTrace
 from repro.utils.ids import NodeId
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng
@@ -173,9 +174,15 @@ class AdversaryStage:
     """Stage 2: the adversary fixes ``E_r``; graph state is updated.
 
     Owns the :class:`~repro.dynamics.graph_sequence.EdgeIdTrace` and the
-    per-node adjacency bitmasks shared by every program.  Oblivious
+    per-node adjacency bitmasks shared by every program (fast programs alias
+    :attr:`adj`, so it is updated in place, never rebound).  Oblivious
     adversaries never receive an observation — the stage builds one (from
-    the program, lazily) only for adaptive adversaries.
+    the program, lazily) only for adaptive adversaries.  The round graph
+    arrives as edge ids from
+    :meth:`~repro.adversaries.base.Adversary.edge_ids_for_round`; ids
+    already present last round were validated when they were inserted, so
+    only this round's insertions are checked before the delta is applied
+    and connectivity is checked on the updated masks.
     """
 
     def __init__(
@@ -208,8 +215,6 @@ class AdversaryStage:
         self.inserted_ids: FrozenSet[int] = frozenset()
         self.removed_ids: FrozenSet[int] = frozenset()
         self._previous_ids: FrozenSet[int] = frozenset()
-        self._last_raw_edges: Optional[object] = None
-        self._last_ids: Optional[FrozenSet[int]] = None
         #: The adversary's promise (if any) that its topology stops changing
         #: from this round on; lets :meth:`advance` skip the edge query for
         #: every later round.
@@ -217,52 +222,33 @@ class AdversaryStage:
             adversary, "steady_after_round", None
         )
 
-    def _edge_ids_for_round(
-        self, round_index: int, observation: Optional[RoundObservation]
-    ) -> FrozenSet[int]:
-        raw = self.adversary.edges_for_round(round_index, observation)
-        # Schedule-replaying adversaries return the same frozenset object for
-        # repeated rounds; skip re-normalizing it.
-        if raw is self._last_raw_edges and self._last_ids is not None:
-            return self._last_ids
-        index_of = self.index_of
+    def _apply_delta(
+        self, round_index: int, inserted: FrozenSet[int], removed: FrozenSet[int]
+    ) -> None:
+        """Validate the inserted ids, toggle the delta into :attr:`adj` and
+        check connectivity; a disconnected round leaves :attr:`adj` as it was."""
         n = self.n
-        ids: Set[int] = set()
-        add = ids.add
-        for u, v in raw:
-            iu = index_of.get(u)
-            iv = index_of.get(v)
-            if iu is None or iv is None:
-                raise ConfigurationError(
-                    f"edge ({u}, {v}) has an endpoint outside the node set"
-                )
-            if iu == iv:
-                raise ConfigurationError(f"self-loop edges are not allowed: ({u}, {v})")
-            add(edge_id(iu, iv, n))
-        frozen = frozenset(ids)
-        if isinstance(raw, frozenset):
-            self._last_raw_edges = raw
-            self._last_ids = frozen
-        return frozen
-
-    def _is_connected(self, ids: FrozenSet[int]) -> bool:
-        n = self.n
-        parent = list(range(n))
-        components = n
-        for eid in ids:
+        adj = self.adj
+        for eid in inserted:
             a, b = divmod(eid, n)
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[b] = a
-                components -= 1
-                if components == 1:
-                    return True
-        return components == 1
+            if not 0 <= a < b < n:
+                if a == b:
+                    raise ConfigurationError(
+                        f"self-loop edges are not allowed: edge id {eid} joins "
+                        f"node {self.nodes[a]} to itself"
+                    )
+                raise ConfigurationError(
+                    f"edge id {eid} is not a canonical edge id over {n} nodes "
+                    f"(min * {n} + max of two distinct node indices)"
+                )
+        toggle_edge_ids(adj, inserted)
+        toggle_edge_ids(adj, removed)
+        if self.require_connected and n > 1 and len(mask_components(adj)) > 1:
+            toggle_edge_ids(adj, inserted)
+            toggle_edge_ids(adj, removed)
+            raise AdversaryViolationError(
+                f"adversary produced a disconnected graph in round {round_index}"
+            )
 
     def advance(
         self,
@@ -285,7 +271,11 @@ class AdversaryStage:
         observation = (
             program.observation(round_index, commitment) if self.observe else None
         )
-        current = self._edge_ids_for_round(round_index, observation)
+        # A no-op for the frozenset the protocol asks for; freezes a set an
+        # override might still mutate after the trace recorded it.
+        current = frozenset(
+            self.adversary.edge_ids_for_round(round_index, observation, self.index_of)
+        )
         previous = self._previous_ids
         if current is previous:
             # Schedule-replaying adversaries hand back the identical edge set
@@ -294,23 +284,10 @@ class AdversaryStage:
             # first produced, and identical edges stay connected.
             inserted = removed = frozenset()
         else:
-            inserted = frozenset(current - previous)
-            removed = frozenset(previous - current)
-            if self.require_connected and self.n > 1 and not self._is_connected(current):
-                raise AdversaryViolationError(
-                    f"adversary produced a disconnected graph in round {round_index}"
-                )
+            inserted = current - previous
+            removed = previous - current
+            self._apply_delta(round_index, inserted, removed)
         self.trace.record_ids(current, inserted, removed)
-        adj = self.adj
-        n = self.n
-        for eid in inserted:
-            a, b = divmod(eid, n)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        for eid in removed:
-            a, b = divmod(eid, n)
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
         self.inserted_ids = inserted
         self.removed_ids = removed
         self._previous_ids = current

@@ -4,6 +4,11 @@ The dynamic-network model requires every round graph to be connected
 (Section 1.3).  These helpers check connectivity, repair disconnected edge
 sets by adding a minimal number of connecting edges, and extract spanning
 forests (used by the lower-bound adversary to keep round graphs sparse).
+
+Components are computed in one place, :func:`mask_components`, on
+per-node adjacency bitmasks.  The tuple-level helpers build those masks
+from an edge iterable; the round kernel's adversary stage and the
+controlled-churn adversary already keep them and call it directly.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from repro.utils.rng import ensure_rng
 
 
 class _UnionFind:
-    """Minimal union-find structure over an explicit node universe."""
+    """Minimal union-find structure over an explicit node universe (used by
+    :func:`spanning_forest`, whose edge order decides which edges it keeps)."""
 
     def __init__(self, nodes: Iterable[NodeId]):
         self._parent: Dict[NodeId, NodeId] = {node: node for node in nodes}
@@ -42,21 +48,74 @@ class _UnionFind:
         return True
 
 
-def connected_components(nodes: Iterable[NodeId], edges: Iterable[Edge]) -> List[Set[NodeId]]:
-    """Return the connected components of ``(nodes, edges)`` as a list of node sets."""
-    node_list = list(nodes)
-    uf = _UnionFind(node_list)
+def mask_components(adj: Sequence[int]) -> List[int]:
+    """The connected components of a graph given as adjacency bitmasks.
+
+    ``adj[i]`` has bit ``j`` set iff ``{i, j}`` is an edge.  Returns one
+    bitmask of member indices per component, ordered by lowest member.
+    """
+    components: List[int] = []
+    remaining = (1 << len(adj)) - 1
+    while remaining:
+        component = frontier = remaining & -remaining
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~component
+            component |= frontier
+            if component == remaining:
+                break
+        components.append(component)
+        remaining &= ~component
+    return components
+
+
+def toggle_edge_ids(adj: List[int], ids: Iterable[int]) -> None:
+    """Flip each edge ``a * n + b`` of ``ids`` in the masks (``n = len(adj)``)."""
+    n = len(adj)
+    for eid in ids:
+        a, b = divmod(eid, n)
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+
+
+def _indexed_adjacency(
+    nodes: Iterable[NodeId], edges: Iterable[Edge]
+) -> Tuple[List[NodeId], List[int]]:
+    """Nodes in first-seen order plus adjacency bitmasks over their positions."""
+    node_list = list(dict.fromkeys(nodes))
+    index_of = {node: index for index, node in enumerate(node_list)}
+    adj = [0] * len(node_list)
     for u, v in edges:
-        uf.union(u, v)
-    groups: Dict[NodeId, Set[NodeId]] = {}
-    for node in node_list:
-        groups.setdefault(uf.find(node), set()).add(node)
-    return list(groups.values())
+        a, b = index_of[u], index_of[v]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return node_list, adj
+
+
+def connected_components(nodes: Iterable[NodeId], edges: Iterable[Edge]) -> List[Set[NodeId]]:
+    """Return the connected components of ``(nodes, edges)`` as a list of node sets.
+
+    Components are listed in the order their first member appears in ``nodes``.
+    """
+    node_list, adj = _indexed_adjacency(nodes, edges)
+    components: List[Set[NodeId]] = []
+    for mask in mask_components(adj):
+        members: Set[NodeId] = set()
+        while mask:
+            low = mask & -mask
+            members.add(node_list[low.bit_length() - 1])
+            mask ^= low
+        components.append(members)
+    return components
 
 
 def is_connected(nodes: Iterable[NodeId], edges: Iterable[Edge]) -> bool:
     """True iff the graph ``(nodes, edges)`` is connected (single node counts as connected)."""
-    return len(connected_components(nodes, edges)) <= 1
+    return len(mask_components(_indexed_adjacency(nodes, edges)[1])) <= 1
 
 
 def ensure_connected(

@@ -29,6 +29,7 @@ from repro.core.state import (
     BitsetKnowledgeState,
     MappingKnowledgeState,
     bit_indices,
+    edge_id,
 )
 from repro.core.tokens import Token
 from repro.utils.validation import (
@@ -120,6 +121,129 @@ class TestAdversaryStage:
         # passing None proves obliviousness is enforced structurally.
         stage.advance(1, None, None)
         assert adversary.observations == [None]
+
+
+class FixedIdsAdversary(Adversary):
+    """Hands the stage a fixed set of integer edge ids every round."""
+
+    oblivious = True
+
+    def __init__(self, ids):
+        super().__init__()
+        self._ids = frozenset(ids)
+
+    def edges_for_round(self, round_index, observation):
+        raise AssertionError("the stage must ask for edge ids")
+
+    def edge_ids_for_round(self, round_index, observation, index_of):
+        return self._ids
+
+
+class TestAdversaryStageIdPath:
+    """The stage's contract for adversaries that return edge ids."""
+
+    PATH_IDS = [edge_id(0, 1, 4), edge_id(1, 2, 4), edge_id(2, 3, 4)]
+
+    @pytest.mark.parametrize("bad_id", [16, 99, -1])
+    def test_rejects_out_of_range_ids(self, bad_id):
+        stage = make_stage(FixedIdsAdversary(self.PATH_IDS + [bad_id]), n=4)
+        with pytest.raises(ConfigurationError, match="not a canonical edge id"):
+            stage.advance(1, None, None)
+
+    def test_rejects_self_loop_ids(self):
+        stage = make_stage(FixedIdsAdversary(self.PATH_IDS + [2 * 4 + 2]), n=4)
+        with pytest.raises(ConfigurationError, match="self-loop"):
+            stage.advance(1, None, None)
+
+    def test_rejects_non_canonical_ids(self):
+        # 3 * 4 + 1 names the edge {1, 3} with the larger index first.
+        stage = make_stage(FixedIdsAdversary(self.PATH_IDS + [3 * 4 + 1]), n=4)
+        with pytest.raises(ConfigurationError, match="not a canonical edge id"):
+            stage.advance(1, None, None)
+
+    def test_rejects_disconnected_id_sets(self):
+        stage = make_stage(FixedIdsAdversary([edge_id(0, 1, 4), edge_id(2, 3, 4)]), n=4)
+        with pytest.raises(AdversaryViolationError, match="disconnected"):
+            stage.advance(1, None, None)
+
+    def test_disconnected_round_leaves_the_adjacency_untouched(self):
+        class CutsInRoundTwo(FixedIdsAdversary):
+            def edge_ids_for_round(self, round_index, observation, index_of):
+                if round_index == 1:
+                    return self._ids
+                return frozenset({edge_id(0, 1, 4), edge_id(2, 3, 4)})
+
+        stage = make_stage(CutsInRoundTwo(TestAdversaryStageIdPath.PATH_IDS), n=4)
+        stage.advance(1, None, None)
+        before = list(stage.adj)
+        with pytest.raises(AdversaryViolationError):
+            stage.advance(2, None, None)
+        assert stage.adj == before
+        assert stage.trace.num_rounds == 1
+
+    def test_adjacency_list_is_updated_in_place(self):
+        # Fast programs alias ``kernel.graph.adj``; rebinding it would leave
+        # them reading a stale graph.
+        problem = single_source_problem(12, 4)
+        adversary = ControlledChurnAdversary(changes_per_round=3, edge_probability=0.3)
+        adversary.reset(problem, random.Random(8))
+        stage = make_stage(adversary, n=12)
+        adj = stage.adj
+        for round_index in range(1, 30):
+            stage.advance(round_index, None, None)
+            assert stage.adj is adj
+        expected = {node: set() for node in range(12)}
+        for u, v in stage.trace.edges_in_round(29):
+            expected[u].add(v)
+            expected[v].add(u)
+        assert stage.neighbors_view() == {
+            node: frozenset(neighbors) for node, neighbors in expected.items()
+        }
+
+    def test_churn_ids_encode_its_tuples(self):
+        problem = single_source_problem(16, 4)
+        n = problem.num_nodes
+        index_of = {node: index for index, node in enumerate(problem.nodes)}
+        by_ids = ControlledChurnAdversary(changes_per_round=4, edge_probability=0.3)
+        by_tuples = ControlledChurnAdversary(changes_per_round=4, edge_probability=0.3)
+        by_ids.reset(problem, random.Random(11))
+        by_tuples.reset(problem, random.Random(11))
+        for round_index in range(1, 40):
+            ids = by_ids.edge_ids_for_round(round_index, None, index_of)
+            edges = by_tuples.edges_for_round(round_index, None)
+            assert ids == {edge_id(index_of[u], index_of[v], n) for u, v in edges}
+
+    def test_churn_encodes_foreign_index_maps_through_tuples(self):
+        # An index map other than positions in the sorted node set falls
+        # back to the validating tuple conversion.
+        problem = single_source_problem(10, 4)
+        n = problem.num_nodes
+        reversed_index = {node: n - 1 - index for index, node in enumerate(problem.nodes)}
+        by_ids = ControlledChurnAdversary(changes_per_round=2, edge_probability=0.3)
+        by_tuples = ControlledChurnAdversary(changes_per_round=2, edge_probability=0.3)
+        by_ids.reset(problem, random.Random(5))
+        by_tuples.reset(problem, random.Random(5))
+        for round_index in range(1, 10):
+            ids = by_ids.edge_ids_for_round(round_index, None, reversed_index)
+            edges = by_tuples.edges_for_round(round_index, None)
+            assert ids == {
+                edge_id(reversed_index[u], reversed_index[v], n) for u, v in edges
+            }
+
+    def test_default_reuses_ids_of_a_repeated_frozenset(self):
+        edges = frozenset(path_edges(4))
+
+        class Replaying(Adversary):
+            oblivious = True
+
+            def edges_for_round(self, round_index, observation):
+                return edges
+
+        adversary = Replaying()
+        index_of = {node: node for node in range(4)}
+        first = adversary.edge_ids_for_round(1, None, index_of)
+        assert adversary.edge_ids_for_round(2, None, index_of) is first
+        assert first == frozenset(self.PATH_IDS)
 
 
 class RecordingAdversary(Adversary):

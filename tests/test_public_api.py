@@ -2,7 +2,11 @@
 
 import importlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -132,3 +136,47 @@ class TestTyping:
         pyproject = pathlib.Path(repro.__file__).parents[2] / "pyproject.toml"
         assert pyproject.exists()
         assert "py.typed" in pyproject.read_text()
+
+
+class TestCoreWithoutNumpy:
+    """``pyproject.toml`` promises a core that needs only networkx; numpy is
+    the ``repro[fast]`` extra.  A fresh interpreter with numpy blocked must
+    import the package, plan experiments, and explain the missing extra
+    only where numpy is really needed."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+        sys.modules["numpy"] = None
+
+        import repro
+        import repro.api
+        from repro.analysis.experiments import fit_power_law
+
+        plan = repro.Experiment.grid(
+            algorithm="single-source", adversary="churn",
+            num_nodes=[6, 8], num_tokens=4,
+        ).seeds(2).plan()
+        assert len(plan.cells) == 4, plan.cells
+        try:
+            fit_power_law([1.0, 2.0], [1.0, 4.0])
+        except repro.ConfigurationError as error:
+            print("ConfigurationError:", error)
+        else:
+            raise SystemExit("fit_power_law ran without numpy")
+        """
+    )
+
+    def test_import_and_plan_without_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "ConfigurationError:" in completed.stdout
+        assert "repro[fast]" in completed.stdout
