@@ -1,8 +1,9 @@
 """Strongly adaptive adversaries for the unicast algorithms.
 
 These adversaries inspect the :class:`~repro.core.observation.RoundObservation`
-built by the engine — the algorithm's knowledge sets and the messages of the
-previous round — and rewire the topology to hurt the algorithm:
+built by the engine — the algorithm's knowledge (as per-node counts or token
+bitmasks) and the messages of the previous round — and rewire the topology
+to hurt the algorithm:
 
 * :class:`RequestCuttingAdversary` removes every edge that carried a token
   request in the previous round, wasting the request (the responding token
@@ -154,7 +155,7 @@ class AdaptiveRewiringAdversary(Adversary):
     """
 
     oblivious = False
-    observed_fields = frozenset({"knowledge"})
+    observed_fields = frozenset({"knowledge_masks"})
 
     def __init__(
         self,
@@ -176,11 +177,10 @@ class AdaptiveRewiringAdversary(Adversary):
     def on_reset(self) -> None:
         self._current = None
 
-    def _knowledge_gap(self, observation: RoundObservation, edge: Edge) -> int:
+    @staticmethod
+    def _knowledge_gap(masks: Dict[NodeId, int], edge: Edge) -> int:
         u, v = edge
-        known_u = observation.knowledge[u]
-        known_v = observation.knowledge[v]
-        return len(known_u ^ known_v)
+        return (masks[u] ^ masks[v]).bit_count()
 
     def edges_for_round(
         self, round_index: int, observation: Optional[RoundObservation]
@@ -194,13 +194,14 @@ class AdaptiveRewiringAdversary(Adversary):
         edges = set(self._current)
         removed = 0
         if observation is not None and self._targeted_cuts > 0:
+            masks = dict(zip(nodes, self.knowledge_masks(observation)))
             ranked = sorted(
                 edges,
-                key=lambda edge: self._knowledge_gap(observation, edge),
+                key=lambda edge: self._knowledge_gap(masks, edge),
                 reverse=True,
             )
             for edge in ranked[: self._targeted_cuts]:
-                if self._knowledge_gap(observation, edge) == 0:
+                if self._knowledge_gap(masks, edge) == 0:
                     break
                 edges.discard(edge)
                 removed += 1

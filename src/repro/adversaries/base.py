@@ -39,9 +39,12 @@ class Adversary(abc.ABC):
     node set and self-loops.  Override it when the adversary can keep its
     graph as ids itself and so skip building and converting tuples every
     round (:class:`~repro.adversaries.oblivious.ControlledChurnAdversary`
-    does).  An override must return canonical ids for the same graph
+    and :class:`~repro.adversaries.lower_bound.LowerBoundAdversary` do).
+    An override must return canonical ids for the same graph
     :meth:`edges_for_round` would return, and must advance the adversary's
-    state exactly as one :meth:`edges_for_round` call would.
+    state exactly as one :meth:`edges_for_round` call would; handed an
+    ``index_of`` for which :meth:`indexes_nodes_in_order` is false, it
+    should fall back to this default.
     """
 
     #: Human-readable name used in results and reports.
@@ -50,12 +53,14 @@ class Adversary(abc.ABC):
     oblivious: bool = True
     #: The :class:`~repro.core.observation.RoundObservation` fields this
     #: adversary actually reads (field names such as ``"knowledge"``,
-    #: ``"knowledge_counts"``, ``"previous_messages"``,
-    #: ``"broadcast_payloads"``, ``"extra"``).  ``None`` means "everything"
-    #: — the safe default for third-party adversaries.  Declaring a narrow
-    #: set lets the kernel skip materializing the expensive fields (e.g.
-    #: per-node knowledge sets) it will never look at.  Irrelevant for
-    #: oblivious adversaries, which receive no observation at all.
+    #: ``"knowledge_counts"``, ``"knowledge_masks"``,
+    #: ``"previous_messages"``, ``"broadcast_payloads"``, ``"extra"``).
+    #: ``None`` means "everything" — the safe default for third-party
+    #: adversaries.  Declaring a narrow set lets the kernel skip
+    #: materializing the expensive fields (e.g. per-node frozensets of
+    #: tokens, where token bitmasks would do) it will never look at.
+    #: Irrelevant for oblivious adversaries, which receive no observation
+    #: at all.
     observed_fields: Optional[FrozenSet[str]] = None
     #: If not ``None``, a round index ``s`` such that for every round
     #: ``r >= s`` the adversary returns a graph equal to the round-``s``
@@ -68,11 +73,13 @@ class Adversary(abc.ABC):
     def __init__(self) -> None:
         self._problem: Optional[DisseminationProblem] = None
         self._rng: Optional[random.Random] = None
+        self._native_index_of: Optional[Dict[NodeId, int]] = None
 
     def reset(self, problem: DisseminationProblem, rng: random.Random) -> None:
         """Prepare for a fresh execution on ``problem``."""
         self._problem = problem
         self._rng = rng
+        self._native_index_of = None
         self.on_reset()
 
     def on_reset(self) -> None:
@@ -137,6 +144,42 @@ class Adversary(abc.ABC):
         if isinstance(raw, frozenset):
             self._edge_id_cache = (raw, index_of, frozen)
         return frozen
+
+    def indexes_nodes_in_order(self, index_of: Dict[NodeId, int]) -> bool:
+        """True iff ``index_of`` maps every node to its position in
+        :attr:`nodes` — the positions id-native :meth:`edge_ids_for_round`
+        overrides compute in.  Overrides handed any other map fall back to
+        the tuple path of the base class.
+        """
+        if index_of is self._native_index_of:
+            return True
+        nodes = self.nodes
+        if len(index_of) != len(nodes) or any(
+            index_of.get(node) != index for index, node in enumerate(nodes)
+        ):
+            return False
+        self._native_index_of = index_of
+        return True
+
+    def knowledge_masks(self, observation: RoundObservation) -> Tuple[int, ...]:
+        """The observed knowledge as per-node token bitmasks (see
+        :attr:`~repro.core.observation.RoundObservation.knowledge_masks`).
+
+        Observations built without the masks, for example by hand, carry
+        only ``knowledge``; the masks are then derived from it.
+        """
+        if observation.knowledge_masks:
+            return observation.knowledge_masks
+        token_index = {
+            token: index for index, token in enumerate(sorted(self.problem.tokens))
+        }
+        masks = []
+        for node in self.nodes:
+            mask = 0
+            for token in observation.knowledge[node]:
+                mask |= 1 << token_index[token]
+            masks.append(mask)
+        return tuple(masks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, oblivious={self.oblivious})"

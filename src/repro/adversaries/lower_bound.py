@@ -24,23 +24,40 @@ contribute nothing by definition), so to keep the simulated graphs sparse we
 include a spanning forest of the free-edge graph plus the minimal set of
 connecting non-free edges.  The number of connected components — the quantity
 the analysis is about — is identical.
+
+The adversary works on the index layer: it reads the observation's
+``knowledge_masks`` (per-node token bitmasks) and keeps every ``K'_v`` as a
+token bitmask too.  With ``Know_v = K_v(r-1) ∪ K'_v``, the free neighbours
+of ``u`` are ``H[u] & R[u]`` (less ``u`` itself), where ``H[u]`` is every
+node if ``u`` is silent, else the nodes whose ``Know`` holds ``i_u``, and
+``R[u]`` is the silent nodes plus the broadcasters of every token in
+``Know_u``.  Non-token payloads count as silence: they carry no token, so
+they can never increase the potential.  The forest is the one Kruskal keeps
+scanning the free edges in lexicographic order
+(:func:`~repro.dynamics.connectivity.mask_spanning_forest`), the same edges
+a union-find over the sorted free-edge tuples keeps.  So
+:meth:`LowerBoundAdversary.edge_ids_for_round` hands the kernel edge ids
+without testing or building a tuple per node pair, and
+:meth:`LowerBoundAdversary.edges_for_round` is a tuple view of the same
+graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.adversaries.base import Adversary
 from repro.core.messages import TokenMessage
 from repro.core.observation import RoundObservation
+from repro.core.state import bit_indices
 from repro.core.tokens import Token
 from repro.dynamics.connectivity import (
-    connected_components,
     connecting_edges_between_components,
-    spanning_forest,
+    mask_components,
+    mask_spanning_forest,
 )
-from repro.utils.ids import Edge, NodeId, normalize_edge
+from repro.utils.ids import Edge, NodeId
 from repro.utils.validation import ConfigurationError, SimulationError, require_probability
 
 
@@ -64,13 +81,16 @@ class LowerBoundAdversary(Adversary):
     """
 
     oblivious = False
-    observed_fields = frozenset({"knowledge", "broadcast_payloads"})
+    observed_fields = frozenset({"knowledge_masks", "broadcast_payloads"})
 
     def __init__(self, inclusion_probability: float = 0.25, name: str = "lower-bound"):
         super().__init__()
         require_probability(inclusion_probability, "inclusion_probability")
         self._inclusion_probability = inclusion_probability
-        self._kprime: Dict[NodeId, FrozenSet[Token]] = {}
+        #: ``K'_v`` per node index, as token bitmasks over the sorted tokens.
+        self._kprime: Optional[List[int]] = None
+        self._tokens: Tuple[Token, ...] = ()
+        self._token_index: Dict[Token, int] = {}
         self._round_stats: List[LowerBoundRoundStats] = []
         self.name = name
 
@@ -78,18 +98,26 @@ class LowerBoundAdversary(Adversary):
 
     def on_reset(self) -> None:
         self._round_stats = []
-        tokens = self.problem.tokens
-        self._kprime = {
-            node: frozenset(
-                token for token in tokens if self.rng.random() < self._inclusion_probability
-            )
-            for node in self.nodes
-        }
+        self._tokens = tuple(sorted(self.problem.tokens))
+        self._token_index = {token: index for index, token in enumerate(self._tokens)}
+        token_bits = [1 << self._token_index[token] for token in self.problem.tokens]
+        rng = self.rng
+        probability = self._inclusion_probability
+        self._kprime = [
+            sum(bit for bit in token_bits if rng.random() < probability)
+            for _ in self.nodes
+        ]
 
     @property
     def kprime_sets(self) -> Dict[NodeId, FrozenSet[Token]]:
         """The sampled ``K'_v`` sets of the current execution."""
-        return dict(self._kprime)
+        if self._kprime is None:
+            return {}
+        tokens = self._tokens
+        return {
+            node: frozenset(tokens[index] for index in bit_indices(mask))
+            for node, mask in zip(self.nodes, self._kprime)
+        }
 
     @property
     def round_stats(self) -> List[LowerBoundRoundStats]:
@@ -98,71 +126,84 @@ class LowerBoundAdversary(Adversary):
 
     def initial_potential(self) -> int:
         """``Φ(0) = Σ_v |K_v(0) ∪ K'_v|``."""
+        kprime = self.kprime_sets
         return sum(
-            len(set(self.problem.initial_knowledge[node]) | set(self._kprime[node]))
+            len(set(self.problem.initial_knowledge[node]) | kprime[node])
             for node in self.nodes
         )
 
     # -- round graph ----------------------------------------------------------
 
-    @staticmethod
-    def _broadcast_token(payload) -> Optional[Token]:
-        if payload is None:
-            return None
-        if isinstance(payload, TokenMessage):
-            return payload.token
-        # Non-token broadcasts carry no token, so they can never increase the
-        # potential; treat them like silence for the free-edge test.
-        return None
-
-    def _is_free(
-        self,
-        token_u: Optional[Token],
-        token_v: Optional[Token],
-        knowledge_u: FrozenSet[Token],
-        knowledge_v: FrozenSet[Token],
-        kprime_u: FrozenSet[Token],
-        kprime_v: FrozenSet[Token],
-    ) -> bool:
-        u_harmless = token_u is None or token_u in knowledge_v or token_u in kprime_v
-        v_harmless = token_v is None or token_v in knowledge_u or token_v in kprime_u
-        return u_harmless and v_harmless
+    def _free_adjacency(self, observation: RoundObservation) -> List[int]:
+        """The free-edge graph of the observed round as node adjacency bitmasks."""
+        know = [
+            mask | kprime
+            for mask, kprime in zip(self.knowledge_masks(observation), self._kprime)
+        ]
+        payloads = observation.broadcast_payloads
+        token_index = self._token_index
+        # A token outside the universe gets a bit no node holds.
+        unknown = len(token_index)
+        # The token bit each node broadcasts; -1 for silence and for payloads
+        # that carry no token.
+        sent = []
+        sent_tokens = silent = 0
+        broadcasters: Dict[int, int] = {}
+        for index, node in enumerate(self.nodes):
+            payload = payloads.get(node)
+            if isinstance(payload, TokenMessage):
+                bit = token_index.get(payload.token, unknown)
+                broadcasters[bit] = broadcasters.get(bit, 0) | (1 << index)
+                sent_tokens |= 1 << bit
+            else:
+                bit = -1
+                silent |= 1 << index
+            sent.append(bit)
+        holders = dict.fromkeys(broadcasters, 0)
+        receivable = []
+        for index, known in enumerate(know):
+            reach = silent
+            shared = known & sent_tokens
+            while shared:
+                low = shared & -shared
+                bit = low.bit_length() - 1
+                holders[bit] |= 1 << index
+                reach |= broadcasters[bit]
+                shared ^= low
+            receivable.append(reach)
+        everyone = (1 << len(know)) - 1
+        return [
+            (everyone if bit < 0 else holders[bit]) & receivable[index] & ~(1 << index)
+            for index, bit in enumerate(sent)
+        ]
 
     def free_edges(self, observation: RoundObservation) -> Set[Edge]:
         """All free potential edges of the observed round (Section 2)."""
-        nodes = list(self.nodes)
-        tokens = {
-            node: self._broadcast_token(observation.broadcast_payloads.get(node))
-            for node in nodes
+        nodes = self.nodes
+        free = self._free_adjacency(observation)
+        return {
+            (nodes[a], nodes[b])
+            for a, neighbors in enumerate(free)
+            for b in bit_indices(neighbors >> (a + 1) << (a + 1))
         }
-        free: Set[Edge] = set()
-        for index, u in enumerate(nodes):
-            for v in nodes[index + 1 :]:
-                if self._is_free(
-                    tokens[u],
-                    tokens[v],
-                    observation.knowledge[u],
-                    observation.knowledge[v],
-                    self._kprime[u],
-                    self._kprime[v],
-                ):
-                    free.add(normalize_edge(u, v))
-        return free
 
-    def edges_for_round(
+    def _round_pairs(
         self, round_index: int, observation: Optional[RoundObservation]
-    ) -> Iterable[Edge]:
+    ) -> List[Tuple[int, int]]:
+        """Play one round: the index pairs of a spanning forest of the free
+        edges plus the non-free edges chaining its components together."""
         if observation is None:
             raise SimulationError(
                 "LowerBoundAdversary is strongly adaptive and requires an observation; "
                 "it cannot be used as an oblivious adversary"
             )
-        if not self._kprime:
+        if self._kprime is None:
             raise ConfigurationError("adversary used before reset")
-        free = self.free_edges(observation)
-        forest = spanning_forest(self.nodes, free)
-        components = connected_components(self.nodes, free)
-        connectors = connecting_edges_between_components(components, self.rng)
+        free = self._free_adjacency(observation)
+        components = mask_components(free)
+        connectors = connecting_edges_between_components(
+            [bit_indices(mask) for mask in components], self.rng
+        )
         self._round_stats.append(
             LowerBoundRoundStats(
                 round_index=round_index,
@@ -171,7 +212,24 @@ class LowerBoundAdversary(Adversary):
                 non_free_edges_added=len(connectors),
             )
         )
-        return forest | connectors
+        return mask_spanning_forest(free) + list(connectors)
+
+    def edge_ids_for_round(
+        self,
+        round_index: int,
+        observation: Optional[RoundObservation],
+        index_of: Dict[NodeId, int],
+    ) -> FrozenSet[int]:
+        if not self.indexes_nodes_in_order(index_of):
+            return super().edge_ids_for_round(round_index, observation, index_of)
+        n = len(index_of)
+        return frozenset(a * n + b for a, b in self._round_pairs(round_index, observation))
+
+    def edges_for_round(
+        self, round_index: int, observation: Optional[RoundObservation]
+    ) -> Iterable[Edge]:
+        nodes = self.nodes
+        return {(nodes[a], nodes[b]) for a, b in self._round_pairs(round_index, observation)}
 
     # -- diagnostics ------------------------------------------------------------
 

@@ -153,7 +153,6 @@ class ControlledChurnAdversary(Adversary):
         self._absent: List[int] = []
         self._adj: List[int] = []
         self._round_ids: FrozenSet[int] = frozenset()
-        self._native_index_of: Optional[Dict[NodeId, int]] = None
         self.name = name
 
     @property
@@ -167,7 +166,6 @@ class ControlledChurnAdversary(Adversary):
         self._absent = [a * n + b for a in range(n) for b in range(a + 1, n)]
         self._adj = [0] * n
         self._round_ids = frozenset()
-        self._native_index_of = None
 
     @staticmethod
     def _move(ids: List[int], source: List[int], target: List[int]) -> None:
@@ -220,14 +218,8 @@ class ControlledChurnAdversary(Adversary):
         observation: Optional[RoundObservation],
         index_of: Dict[NodeId, int],
     ) -> FrozenSet[int]:
-        if index_of is not self._native_index_of:
-            nodes = self.nodes
-            if len(index_of) != len(nodes) or any(
-                index_of.get(node) != index for index, node in enumerate(nodes)
-            ):
-                # Not the positions this adversary encodes: go through tuples.
-                return super().edge_ids_for_round(round_index, observation, index_of)
-            self._native_index_of = index_of
+        if not self.indexes_nodes_in_order(index_of):
+            return super().edge_ids_for_round(round_index, observation, index_of)
         return self._next_round_ids()
 
     def edges_for_round(

@@ -59,6 +59,15 @@ class RoundObservation:
             (e.g. star-recenter) declare this field instead of ``knowledge``.
             May be empty when the observation was built for an adversary
             that did not request it — fall back to ``len(knowledge[v])``.
+        knowledge_masks: ``K_v(r-1)`` of every node as a token bitmask, one
+            int per node in node-index order (the sorted node set); bit
+            ``i`` is the ``i``-th smallest token, the index layer of
+            :class:`~repro.core.state.KnowledgeState`.  Adversaries that
+            test or compare knowledge (lower-bound, adaptive-rewiring)
+            declare this field instead of ``knowledge``.  Empty when the
+            observation was built without it (for example by hand);
+            :meth:`~repro.adversaries.base.Adversary.knowledge_masks` then
+            derives the masks from ``knowledge``.
     """
 
     round_index: int
@@ -68,6 +77,7 @@ class RoundObservation:
     algorithm_name: str = ""
     extra: Mapping[str, object] = field(default_factory=dict)
     knowledge_counts: Mapping[NodeId, int] = field(default_factory=dict)
+    knowledge_masks: Tuple[int, ...] = ()
 
     def broadcasting_nodes(self) -> List[NodeId]:
         """The nodes that will broadcast a payload this round (local broadcast model)."""

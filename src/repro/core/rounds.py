@@ -421,6 +421,11 @@ class _ExchangeProgram(RoundProgram):
             if wants("knowledge_counts")
             else {}
         )
+        masks = (
+            tuple(state.know_mask(index) for index in range(state.n))
+            if wants("knowledge_masks")
+            else ()
+        )
         payloads = (
             dict(commitment)
             if commitment is not None and wants("broadcast_payloads")
@@ -434,6 +439,7 @@ class _ExchangeProgram(RoundProgram):
             algorithm_name=algorithm.name,
             extra=algorithm.observation_extra() if wants("extra") else {},
             knowledge_counts=counts,
+            knowledge_masks=masks,
         )
 
     def completed(self) -> bool:
@@ -689,6 +695,7 @@ class FastRoundProgram(RoundProgram):
             algorithm_name=self.algorithm.name,
             extra=self.observation_extra() if wants("extra") else {},
             knowledge_counts=counts,
+            knowledge_masks=tuple(state.know) if wants("knowledge_masks") else (),
         )
 
     # -- subclass hooks -----------------------------------------------------

@@ -190,15 +190,24 @@ class KnowledgeState(abc.ABC):
 
 
 class MappingKnowledgeState(KnowledgeState):
-    """The reference representation: one set of tokens per node."""
+    """The reference representation: one set of tokens per node.
 
-    __slots__ = ("_knowledge", "_missing_count", "_incomplete")
+    A token bitmask per node is kept beside the sets, so the index layer
+    (:meth:`know_mask`) reads it instead of re-hashing every known token.
+    """
+
+    __slots__ = ("_knowledge", "_masks", "_missing_count", "_incomplete")
 
     def __init__(self, problem: DisseminationProblem) -> None:
         super().__init__(problem)
         self._knowledge: Dict[NodeId, Set[Token]] = {
             node: set(problem.initial_knowledge[node]) for node in self.nodes
         }
+        token_index = self.token_index
+        self._masks: List[int] = [
+            sum(1 << token_index[token] for token in self._knowledge[node])
+            for node in self.nodes
+        ]
         self._missing_count: Dict[NodeId, int] = {
             node: self.k - len(self._knowledge[node]) for node in self.nodes
         }
@@ -227,6 +236,7 @@ class MappingKnowledgeState(KnowledgeState):
         if token in known:
             return False
         known.add(token)
+        self._masks[self.index_of[node]] |= 1 << self.token_index[token]
         self._missing_count[node] -= 1
         if self._missing_count[node] == 0:
             self._incomplete -= 1
@@ -237,11 +247,7 @@ class MappingKnowledgeState(KnowledgeState):
         return self.learn(self.nodes[node_index], self.tokens[token_bit_index])
 
     def know_mask(self, node_index: int) -> int:
-        token_index = self.token_index
-        mask = 0
-        for token in self._knowledge[self.nodes[node_index]]:
-            mask |= 1 << token_index[token]
-        return mask
+        return self._masks[node_index]
 
     def known_count(self, node_index: int) -> int:
         return len(self._knowledge[self.nodes[node_index]])

@@ -5,47 +5,21 @@ The dynamic-network model requires every round graph to be connected
 sets by adding a minimal number of connecting edges, and extract spanning
 forests (used by the lower-bound adversary to keep round graphs sparse).
 
-Components are computed in one place, :func:`mask_components`, on
+Components are computed in one place, :func:`mask_components`, and
+spanning forests in one place, :func:`mask_spanning_forest`, both on
 per-node adjacency bitmasks.  The tuple-level helpers build those masks
 from an edge iterable; the round kernel's adversary stage and the
-controlled-churn adversary already keep them and call it directly.
+churn and lower-bound adversaries already keep them and call the mask
+routines directly.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.utils.ids import Edge, NodeId, normalize_edge
 from repro.utils.rng import ensure_rng
-
-
-class _UnionFind:
-    """Minimal union-find structure over an explicit node universe (used by
-    :func:`spanning_forest`, whose edge order decides which edges it keeps)."""
-
-    def __init__(self, nodes: Iterable[NodeId]):
-        self._parent: Dict[NodeId, NodeId] = {node: node for node in nodes}
-        self._rank: Dict[NodeId, int] = {node: 0 for node in self._parent}
-
-    def find(self, node: NodeId) -> NodeId:
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:
-            self._parent[node], node = root, self._parent[node]
-        return root
-
-    def union(self, u: NodeId, v: NodeId) -> bool:
-        root_u, root_v = self.find(u), self.find(v)
-        if root_u == root_v:
-            return False
-        if self._rank[root_u] < self._rank[root_v]:
-            root_u, root_v = root_v, root_u
-        self._parent[root_v] = root_u
-        if self._rank[root_u] == self._rank[root_v]:
-            self._rank[root_u] += 1
-        return True
 
 
 def mask_components(adj: Sequence[int]) -> List[int]:
@@ -71,6 +45,35 @@ def mask_components(adj: Sequence[int]) -> List[int]:
         components.append(component)
         remaining &= ~component
     return components
+
+
+def mask_spanning_forest(adj: Sequence[int]) -> List[Tuple[int, int]]:
+    """A spanning forest of a graph given as adjacency bitmasks.
+
+    Returns the index pairs ``(a, b)``, ``a < b``, that Kruskal keeps when
+    it scans the edges in lexicographic order: an edge is kept iff its
+    endpoints are not yet joined by the edges kept before it.
+    """
+    component = [1 << index for index in range(len(adj))]
+    forest: List[Tuple[int, int]] = []
+    for a, neighbors in enumerate(adj):
+        merged = component[a]
+        pending = (neighbors >> (a + 1) << (a + 1)) & ~merged
+        if not pending:
+            continue
+        while pending:
+            b = (pending & -pending).bit_length() - 1
+            forest.append((a, b))
+            # Only a's component grows while a's edges are scanned, so the
+            # other components' masks stay current until the update below.
+            merged |= component[b]
+            pending &= ~merged
+        members = merged
+        while members:
+            low = members & -members
+            component[low.bit_length() - 1] = merged
+            members ^= low
+    return forest
 
 
 def toggle_edge_ids(adj: List[int], ids: Iterable[int]) -> None:
@@ -141,20 +144,26 @@ def ensure_connected(
 
 
 def spanning_forest(nodes: Iterable[NodeId], edges: Iterable[Edge]) -> Set[Edge]:
-    """Return a spanning forest (one spanning tree per component) of the graph."""
-    uf = _UnionFind(list(nodes))
-    forest: Set[Edge] = set()
-    for u, v in sorted(normalize_edge(a, b) for (a, b) in edges):
-        if uf.union(u, v):
-            forest.add((u, v))
-    return forest
+    """Return a spanning forest (one spanning tree per component) of the graph.
+
+    The edges kept are those Kruskal keeps when it scans the normalized
+    edges in sorted order (see :func:`mask_spanning_forest`).
+    """
+    node_list, adj = _indexed_adjacency(
+        sorted(dict.fromkeys(nodes)), (normalize_edge(u, v) for u, v in edges)
+    )
+    return {(node_list[a], node_list[b]) for a, b in mask_spanning_forest(adj)}
 
 
 def connecting_edges_between_components(
-    components: Sequence[Set[NodeId]],
+    components: Sequence[Iterable[NodeId]],
     rng: Optional[random.Random] = None,
 ) -> Set[Edge]:
-    """Return ``len(components) - 1`` edges that chain the given components together."""
+    """Return ``len(components) - 1`` edges that chain the given components together.
+
+    Each component contributes one member drawn uniformly from its sorted
+    members; consecutive representatives are joined.
+    """
     rng = ensure_rng(rng)
     if len(components) <= 1:
         return set()

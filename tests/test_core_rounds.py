@@ -19,10 +19,15 @@ from repro.core.messages import (
     TokenMessage,
 )
 from repro.core.observation import RoundObservation, SentRecord
-from repro.core.problem import multi_source_problem, single_source_problem
+from repro.core.problem import (
+    multi_source_problem,
+    random_assignment_problem,
+    single_source_problem,
+)
 from repro.core.rounds import (
     AccountingStage,
     AdversaryStage,
+    FastRoundProgram,
     RoundKernel,
 )
 from repro.core.state import (
@@ -322,6 +327,74 @@ class TestStageOrdering:
         assert dict(observation.broadcast_payloads) == {}
 
 
+class ScopedRecordingAdversary(Adversary):
+    """Adaptive path adversary recording each observation it receives under
+    a declared ``observed_fields`` scope."""
+
+    oblivious = False
+
+    def __init__(self, observed_fields):
+        super().__init__()
+        self.observed_fields = observed_fields
+        self.observations = []
+
+    def edges_for_round(self, round_index, observation):
+        self.observations.append(observation)
+        nodes = list(self.nodes)
+        return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
+
+
+class TestKnowledgeMasksObservation:
+    """Exchange and fast programs build ``knowledge_masks`` only when the
+    adversary declares it, in node-index order over the sorted tokens."""
+
+    MASKS = frozenset({"knowledge_masks"})
+    SETS = frozenset({"knowledge"})
+
+    def observations(self, algorithm_class, fast, scope):
+        problem = multi_source_problem(7, {0: 3, 3: 2, 6: 2})
+        adversary = ScopedRecordingAdversary(scope)
+        kernel = RoundKernel(
+            problem,
+            algorithm_class(),
+            adversary,
+            state_factory=BitsetKnowledgeState if fast else MappingKnowledgeState,
+            allow_fast_programs=fast,
+            seed=2,
+        )
+        assert isinstance(kernel.program, FastRoundProgram) == fast
+        kernel.run()
+        assert adversary.observations
+        return problem, adversary.observations
+
+    @pytest.mark.parametrize("algorithm_class", [FloodingAlgorithm, NaiveUnicastAlgorithm])
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_masks_are_built_only_when_declared(self, algorithm_class, fast):
+        problem, full = self.observations(algorithm_class, fast, None)
+        token_index = {
+            token: index for index, token in enumerate(sorted(problem.tokens))
+        }
+        for observation in full:
+            assert observation.knowledge_masks == tuple(
+                sum(1 << token_index[token] for token in observation.knowledge[node])
+                for node in problem.nodes
+            )
+        _, masks_only = self.observations(algorithm_class, fast, self.MASKS)
+        assert [o.knowledge_masks for o in masks_only] == [
+            o.knowledge_masks for o in full
+        ]
+        assert all(o.knowledge == {} for o in masks_only)
+        _, sets_only = self.observations(algorithm_class, fast, self.SETS)
+        assert all(o.knowledge_masks == () for o in sets_only)
+        assert [o.knowledge for o in sets_only] == [o.knowledge for o in full]
+
+    @pytest.mark.parametrize("algorithm_class", [FloodingAlgorithm, NaiveUnicastAlgorithm])
+    def test_both_program_families_observe_the_same_masks(self, algorithm_class):
+        _, exchange = self.observations(algorithm_class, False, self.MASKS)
+        _, fast = self.observations(algorithm_class, True, self.MASKS)
+        assert [o.knowledge_masks for o in exchange] == [o.knowledge_masks for o in fast]
+
+
 class TestKnowledgeStateParity:
     """The two representations must be observationally identical."""
 
@@ -354,6 +427,25 @@ class TestKnowledgeStateParity:
         # The buffered learning events drain in the same order.
         assert mapping.drain_learnings() == bitset.drain_learnings()
         assert mapping.drain_learnings() == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masks_track_random_learn_sequences(self, seed):
+        rng = random.Random(seed)
+        problem = random_assignment_problem(9, 12, seed=seed)
+        mapping, bitset = MappingKnowledgeState(problem), BitsetKnowledgeState(problem)
+        token_index = mapping.token_index
+        for _ in range(150):
+            node_index, token_bit = rng.randrange(mapping.n), rng.randrange(mapping.k)
+            if rng.random() < 0.5:
+                node, token = mapping.nodes[node_index], mapping.tokens[token_bit]
+                assert mapping.learn(node, token) == bitset.learn(node, token)
+            else:
+                assert mapping.learn_index(node_index, token_bit) == bitset.learn_index(
+                    node_index, token_bit
+                )
+            for index, node in enumerate(mapping.nodes):
+                expected = sum(1 << token_index[t] for t in mapping.known_tokens(node))
+                assert mapping.know_mask(index) == expected == bitset.know_mask(index)
 
     def test_index_layer_matches_across_representations(self):
         problem, mapping, bitset = self.states()

@@ -332,6 +332,9 @@ class TestCrashResume:
     def _start_daemon(self, store, sock):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        # A session of its own: the daemon's spawn worker and multiprocessing
+        # resource tracker join its process group, so teardown can kill them
+        # all even after the daemon itself was SIGKILLed.
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
              "--store", store, "--socket", sock, "--workers", "1"],
@@ -339,10 +342,30 @@ class TestCrashResume:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            start_new_session=True,
         )
         line = process.stdout.readline()
         assert "listening" in line, line
         return process
+
+    @staticmethod
+    def _kill_process_group(process, timeout=30.0):
+        """SIGKILL every process left in the daemon's group, reap the
+        daemon, and wait until the group is gone."""
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait(timeout=timeout)
+        process.stdout.close()
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                os.killpg(process.pid, 0)
+            except ProcessLookupError:
+                return
+            assert time.monotonic() < deadline, "the daemon's process group outlived SIGKILL"
+            time.sleep(0.05)
 
     def test_sigkill_restart_resubmit_executes_only_missing_cells(self, tmp_path):
         store = str(tmp_path / "store")
@@ -378,8 +401,7 @@ class TestCrashResume:
                     pass
             client.close()
         finally:
-            daemon.kill()
-            daemon.wait(timeout=30)
+            self._kill_process_group(daemon)
 
         persisted = len(RunStore(store).records())
         assert 1 <= persisted < total
@@ -401,10 +423,14 @@ class TestCrashResume:
             # cap let the cell complete dissemination.
             assert all("completed" in record for record in records)
         finally:
-            with ServiceClient(socket_path=sock) as client:
-                client.shutdown()
-            daemon.wait(timeout=30)
-            assert daemon.returncode == 0
+            try:
+                with ServiceClient(socket_path=sock) as client:
+                    client.shutdown()
+                daemon.wait(timeout=30)
+            finally:
+                returncode = daemon.poll()
+                self._kill_process_group(daemon)
+            assert returncode == 0
 
 
 def _append_records_worker(store_path, lines, start):

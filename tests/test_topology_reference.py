@@ -1,26 +1,34 @@
 """Reference equivalence of the bitmask topology path.
 
-The controlled-churn adversary and the connectivity helpers run on integer
-edge ids and adjacency bitmasks.  This module keeps their tuple-based
-formulations — a dict union-find for components and the per-round
-``normalize_edge`` churn step — as test-local references, and checks on a
-seeded grid that both produce the same graphs, components and random draws.
+The controlled-churn and lower-bound adversaries and the connectivity
+helpers run on integer edge ids and adjacency bitmasks.  This module keeps
+their tuple-based formulations — a dict union-find for components and
+spanning forests, the per-round ``normalize_edge`` churn step and the
+frozenset free-edge test — as test-local references, and checks on seeded
+grids that both produce the same graphs, components and random draws.
 """
 
 import random
 
 import pytest
 
+from repro.adversaries.lower_bound import LowerBoundAdversary, LowerBoundRoundStats
 from repro.adversaries.oblivious import ControlledChurnAdversary
-from repro.core.problem import single_source_problem
+from repro.core.messages import ControlMessage, RequestMessage, TokenMessage
+from repro.core.observation import RoundObservation
+from repro.core.problem import random_assignment_problem, single_source_problem
 from repro.core.state import edge_id
+from repro.core.tokens import Token
 from repro.dynamics.connectivity import (
     connected_components,
     ensure_connected,
     is_connected,
     mask_components,
+    mask_spanning_forest,
+    spanning_forest,
 )
 from repro.utils.ids import normalize_edge
+from repro.utils.validation import ConfigurationError
 
 # ---------------------------------------------------------------------------
 # Tuple-based references
@@ -43,12 +51,13 @@ class ReferenceUnionFind:
     def union(self, u, v):
         root_u, root_v = self.find(u), self.find(v)
         if root_u == root_v:
-            return
+            return False
         if self.rank[root_u] < self.rank[root_v]:
             root_u, root_v = root_v, root_u
         self.parent[root_v] = root_u
         if self.rank[root_u] == self.rank[root_v]:
             self.rank[root_u] += 1
+        return True
 
 
 def reference_connected_components(nodes, edges):
@@ -60,6 +69,25 @@ def reference_connected_components(nodes, edges):
     for node in node_list:
         groups.setdefault(uf.find(node), set()).add(node)
     return list(groups.values())
+
+
+def reference_spanning_forest(nodes, edges):
+    uf = ReferenceUnionFind(list(nodes))
+    forest = set()
+    for u, v in sorted(normalize_edge(a, b) for (a, b) in edges):
+        if uf.union(u, v):
+            forest.add((u, v))
+    return forest
+
+
+def reference_connecting_edges(components, rng):
+    if len(components) <= 1:
+        return set()
+    representatives = [rng.choice(sorted(component)) for component in components]
+    return {
+        normalize_edge(left, right)
+        for left, right in zip(representatives, representatives[1:])
+    }
 
 
 def reference_ensure_connected(nodes, edges, rng):
@@ -124,6 +152,71 @@ class ReferenceChurn:
         return set(self.current)
 
 
+class ReferenceLowerBound:
+    """The tuple formulation of the free-edge adversary's round step:
+    frozenset ``K'`` sets, a membership test per node pair, and the
+    union-find forest and components of the free edges."""
+
+    def __init__(self, problem, inclusion_probability, rng):
+        self.nodes = list(problem.nodes)
+        self.rng = rng
+        self.kprime = {
+            node: frozenset(
+                token
+                for token in problem.tokens
+                if rng.random() < inclusion_probability
+            )
+            for node in self.nodes
+        }
+        self.round_stats = []
+
+    @staticmethod
+    def broadcast_token(payload):
+        if isinstance(payload, TokenMessage):
+            return payload.token
+        return None
+
+    def is_free(self, token_u, token_v, knowledge_u, knowledge_v, kprime_u, kprime_v):
+        u_harmless = token_u is None or token_u in knowledge_v or token_u in kprime_v
+        v_harmless = token_v is None or token_v in knowledge_u or token_v in kprime_u
+        return u_harmless and v_harmless
+
+    def free_edges(self, observation):
+        nodes = self.nodes
+        tokens = {
+            node: self.broadcast_token(observation.broadcast_payloads.get(node))
+            for node in nodes
+        }
+        free = set()
+        for index, u in enumerate(nodes):
+            for v in nodes[index + 1 :]:
+                if self.is_free(
+                    tokens[u],
+                    tokens[v],
+                    observation.knowledge[u],
+                    observation.knowledge[v],
+                    self.kprime[u],
+                    self.kprime[v],
+                ):
+                    free.add(normalize_edge(u, v))
+        return free
+
+    def edges_for_round(self, round_index, observation):
+        free = self.free_edges(observation)
+        forest = reference_spanning_forest(self.nodes, free)
+        components = reference_connected_components(self.nodes, free)
+        connectors = reference_connecting_edges(components, self.rng)
+        self.round_stats.append(
+            LowerBoundRoundStats(
+                round_index=round_index,
+                broadcasting_nodes=len(observation.broadcasting_nodes()),
+                free_components=len(components),
+                non_free_edges_added=len(connectors),
+            )
+        )
+        return forest | connectors
+
+
 def random_graph(rng, nodes, edge_probability):
     nodes = list(nodes)
     return {
@@ -172,6 +265,11 @@ class TestConnectivityMatchesUnionFind:
             assert actual == expected
             assert [list(c) for c in actual] == [list(c) for c in expected]
             assert is_connected(nodes, edges) == (len(expected) <= 1)
+            # Repeated edges, as callers may pass them, change no forest.
+            forest_edges = list(edges) + list(edges)[: trial % 3]
+            assert spanning_forest(nodes, forest_edges) == reference_spanning_forest(
+                nodes, forest_edges
+            )
 
             seed = rng.randrange(1 << 30)
             left, right = random.Random(seed), random.Random(seed)
@@ -225,3 +323,161 @@ class TestChurnMatchesTupleReference:
             after = reference_rng.random()
             assert tuples_rng.random() == after
             assert ids_rng.random() == after
+
+
+# ---------------------------------------------------------------------------
+# Spanning forests
+# ---------------------------------------------------------------------------
+
+
+class TestSpanningForest:
+    def test_mask_forest_is_lexicographic_kruskal(self):
+        # Edges 0-1, 0-2, 1-2, 2-3: Kruskal in lexicographic order drops 1-2.
+        adj = [0b0110, 0b0101, 0b1011, 0b0100]
+        assert mask_spanning_forest(adj) == [(0, 1), (0, 2), (2, 3)]
+        assert mask_spanning_forest([]) == []
+
+    def test_self_loops_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="self-loop"):
+            spanning_forest([0, 1, 2], [(0, 1), (2, 2)])
+
+
+# ---------------------------------------------------------------------------
+# Lower-bound (free-edge) adversary
+# ---------------------------------------------------------------------------
+
+PAYLOAD_MIXES = ("silent", "flooding", "one-shot", "non-token", "unknown")
+
+
+def mix_payloads(mix, problem, knowledge, rng):
+    """One round's broadcast payloads of the given kind."""
+    nodes = problem.nodes
+    if mix == "silent":
+        return {node: None for node in nodes}
+    if mix == "flooding":
+        # One token, sent by every node that holds it.
+        token = rng.choice(problem.tokens)
+        return {
+            node: TokenMessage(token) if token in knowledge[node] else None
+            for node in nodes
+        }
+    if mix == "one-shot":
+        # A different known token per node.
+        return {
+            node: TokenMessage(rng.choice(sorted(knowledge[node])))
+            if knowledge[node]
+            else None
+            for node in nodes
+        }
+    if mix == "non-token":
+        payloads = {}
+        for node in nodes:
+            token = rng.choice(problem.tokens)
+            payloads[node] = rng.choice(
+                [
+                    None,
+                    RequestMessage(token.source, token.index),
+                    ControlMessage("probe", node),
+                    TokenMessage(token) if token in knowledge[node] else None,
+                ]
+            )
+        return payloads
+    # "unknown": a token no other node knows — one only the sender holds,
+    # else one outside the token universe.
+    outside = Token(source=max(nodes) + 1, index=1)
+    payloads = {}
+    for node in nodes:
+        others = set()
+        for other in nodes:
+            if other != node:
+                others |= knowledge[other]
+        own = sorted(knowledge[node] - others)
+        payloads[node] = TokenMessage(own[0] if own else outside)
+    return payloads
+
+
+class TestLowerBoundMatchesTupleReference:
+    ROUNDS = 2 * len(PAYLOAD_MIXES)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    @pytest.mark.parametrize("inclusion", [0.0, 0.25, 1.0])
+    def test_edges_ids_stats_and_rng_match_the_reference(self, n, k, inclusion):
+        seed = n * 1000 + k * 10 + int(inclusion * 4)
+        problem = random_assignment_problem(n, k, seed=seed)
+        nodes = problem.nodes
+        index_of = {node: index for index, node in enumerate(nodes)}
+        token_index = {token: index for index, token in enumerate(sorted(problem.tokens))}
+
+        reference_rng = random.Random(seed)
+        reference = ReferenceLowerBound(problem, inclusion, reference_rng)
+        # Fed masks only (as the kernel does), knowledge only (as
+        # hand-built observations are), and knowledge through the tuple view.
+        adversaries, rngs = [], []
+        for _ in range(3):
+            adversary, rng = LowerBoundAdversary(inclusion), random.Random(seed)
+            adversary.reset(problem, rng)
+            adversaries.append(adversary)
+            rngs.append(rng)
+        from_masks, from_knowledge, as_tuples = adversaries
+        assert from_masks.kprime_sets == reference.kprime
+
+        world = random.Random(seed + 1)
+        knowledge = {node: set(problem.initial_knowledge[node]) for node in nodes}
+        for round_index in range(1, self.ROUNDS + 1):
+            mix = PAYLOAD_MIXES[round_index % len(PAYLOAD_MIXES)]
+            payloads = mix_payloads(mix, problem, knowledge, world)
+            frozen = {node: frozenset(knowledge[node]) for node in nodes}
+            masks = tuple(
+                sum(1 << token_index[token] for token in knowledge[node])
+                for node in nodes
+            )
+            with_knowledge = RoundObservation(
+                round_index, knowledge=frozen, broadcast_payloads=payloads
+            )
+            with_masks = RoundObservation(
+                round_index,
+                knowledge={},
+                broadcast_payloads=payloads,
+                knowledge_masks=masks,
+            )
+
+            assert from_masks.free_edges(with_masks) == reference.free_edges(
+                with_knowledge
+            )
+            expected = reference.edges_for_round(round_index, with_knowledge)
+            expected_ids = {edge_id(index_of[u], index_of[v], n) for u, v in expected}
+            assert from_masks.edge_ids_for_round(round_index, with_masks, index_of) == (
+                expected_ids
+            )
+            assert from_knowledge.edge_ids_for_round(
+                round_index, with_knowledge, index_of
+            ) == expected_ids
+            assert as_tuples.edges_for_round(round_index, with_knowledge) == expected
+
+            for node in nodes:
+                for token in problem.tokens:
+                    if world.random() < 0.15:
+                        knowledge[node].add(token)
+
+        for adversary in adversaries:
+            assert adversary.round_stats == reference.round_stats
+        after = reference_rng.random()
+        assert [rng.random() for rng in rngs] == [after] * 3
+
+    def test_foreign_index_map_goes_through_tuples(self):
+        problem = random_assignment_problem(8, 6, seed=3)
+        nodes = problem.nodes
+        reversed_index = {node: len(nodes) - 1 - index for index, node in enumerate(nodes)}
+        observation = RoundObservation(
+            1,
+            knowledge=dict(problem.initial_knowledge),
+            broadcast_payloads={node: None for node in nodes},
+        )
+        native, foreign = LowerBoundAdversary(), LowerBoundAdversary()
+        native.reset(problem, random.Random(4))
+        foreign.reset(problem, random.Random(4))
+        edges = native.edges_for_round(1, observation)
+        assert foreign.edge_ids_for_round(1, observation, reversed_index) == {
+            edge_id(reversed_index[u], reversed_index[v], len(nodes)) for u, v in edges
+        }
