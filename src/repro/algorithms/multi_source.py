@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.base import UnicastAlgorithm
-from repro.batch.programs import BatchRoundProgram
 from repro.core.messages import (
     CompletenessMessage,
     MessageKind,
@@ -46,12 +45,7 @@ from repro.core.messages import (
     TokenMessage,
 )
 from repro.core.observation import SentRecord
-from repro.core.rounds import (
-    FastRoundProgram,
-    pending_request_bits,
-    prioritized_edge_indices,
-    record_edge_insertions,
-)
+from repro.core.rounds import FastRoundProgram
 from repro.core.state import edge_id
 from repro.core.tokens import Token, tokens_by_source
 from repro.utils.ids import NodeId
@@ -309,14 +303,6 @@ class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
             return None
         return lambda kernel: _MultiSourceFastProgram(kernel, self)
 
-    def batch_program_factory(self) -> Optional[Callable]:
-        # Same guards as the fast program: exact type, default catalog only.
-        if type(self) is not MultiSourceUnicastAlgorithm:
-            return None
-        if self._configured_catalog is not None:
-            return None
-        return lambda kernel: _MultiSourceBatchProgram(kernel, self)
-
 
 class _MultiSourceFastProgram(FastRoundProgram):
     """Multi-Source-Unicast (Section 3.2.1) on bitmask state.
@@ -555,284 +541,3 @@ class _MultiSourceFastProgram(FastRoundProgram):
         accounting.count_bulk(_KIND_REQUEST, request_count)
         if records is not None:
             self.store_sent_records(records)
-
-
-class _MultiSourceLaneMachine:
-    """One lane's Multi-Source-Unicast replay state.
-
-    The per-lane analogue of :class:`_MultiSourceFastProgram`: the same
-    three tasks per round on integer bitmasks, driven against one lane's
-    adjacency and edge-history dicts.  Shared between the multi-source
-    batch program (every lane runs the same problem-derived catalog) and
-    the oblivious two-phase batch program (each lane hands in its own
-    center catalog — and its phase-1 edge history — at its phase
-    transition).  The batch kernel admits only oblivious adversaries, so
-    no ``SentRecord`` stream exists here.
-    """
-
-    __slots__ = (
-        "n",
-        "s",
-        "full_mask",
-        "catalog_bits",
-        "catalog_mask",
-        "know_masks",
-        "complete_wrt",
-        "informed",
-        "known_complete",
-        "answers",
-        "req_prev",
-        "edge_inserted",
-        "edge_token_round",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        full_mask: int,
-        catalog_bits: List[Tuple[int, ...]],
-        know_masks: List[int],
-        *,
-        edge_inserted: Optional[Dict[int, int]] = None,
-        edge_token_round: Optional[Dict[int, int]] = None,
-    ) -> None:
-        self.n = n
-        self.s = s = len(catalog_bits)
-        self.full_mask = full_mask
-        self.catalog_bits = catalog_bits
-        self.catalog_mask = [sum(1 << bit for bit in bits) for bits in catalog_bits]
-        self.know_masks = know_masks
-        self.complete_wrt: List[int] = []
-        for v in range(n):
-            mask = 0
-            know_v = know_masks[v]
-            for x in range(s):
-                catalog_mask = self.catalog_mask[x]
-                if know_v & catalog_mask == catalog_mask:
-                    mask |= 1 << x
-            self.complete_wrt.append(mask)
-        self.informed: List[List[int]] = [[0] * s for _ in range(n)]
-        self.known_complete: List[List[int]] = [[0] * s for _ in range(n)]
-        self.answers: List[Dict[int, int]] = [{} for _ in range(n)]
-        self.req_prev: List[Optional[Dict[int, int]]] = [None] * n
-        self.edge_inserted = edge_inserted if edge_inserted is not None else {}
-        self.edge_token_round = edge_token_round if edge_token_round is not None else {}
-
-    def _update_completeness(self, node_index: int) -> None:
-        """Mirror of ``on_learn``: refresh ``I_v`` after a new token."""
-        mask = self.complete_wrt[node_index]
-        know_v = self.know_masks[node_index]
-        for x in range(self.s):
-            if (mask >> x) & 1:
-                continue
-            catalog_mask = self.catalog_mask[x]
-            if know_v & catalog_mask == catalog_mask:
-                mask |= 1 << x
-        self.complete_wrt[node_index] = mask
-
-    def play_round(
-        self,
-        lane: int,
-        round_index: int,
-        adj: List[int],
-        inserted_ids,
-        state,
-        accounting,
-    ) -> None:
-        """One round of Section 3.2.1 on this lane.
-
-        ``inserted_ids`` is ``None`` when the lane's adversary stage did not
-        step this round (steady topology) — a serial run would have seen an
-        empty insertion set, so the history fold is skipped identically.
-        """
-        n = self.n
-        s = self.s
-        if inserted_ids is not None:
-            record_edge_insertions(
-                self.edge_inserted, self.edge_token_round, inserted_ids, round_index
-            )
-        know = self.know_masks
-        full = self.full_mask
-        complete_wrt = self.complete_wrt
-        informed = self.informed
-        known_complete = self.known_complete
-        answers = self.answers
-        req_prev = self.req_prev
-        req_cur: List[Optional[Dict[int, int]]] = [None] * n
-        edge_inserted = self.edge_inserted
-        edge_token_round = self.edge_token_round
-        per_node_lane = accounting.per_node[lane]
-        deliveries: List[Optional[List[Tuple[int, int, int]]]] = [None] * n
-
-        token_count = 0
-        completeness_count = 0
-        request_count = 0
-
-        for v in range(n):
-            neighbors = adj[v]
-            outbox: Dict[int, List[Tuple[int, int]]] = {}
-
-            # Task 1: completeness announcements (minimum unannounced source
-            # per edge, in increasing source order).
-            cw = complete_wrt[v]
-            if cw and neighbors:
-                informed_v = informed[v]
-                to_visit = neighbors
-                while to_visit:
-                    low = to_visit & -to_visit
-                    u = low.bit_length() - 1
-                    to_visit ^= low
-                    remaining = cw
-                    while remaining:
-                        low_x = remaining & -remaining
-                        x = low_x.bit_length() - 1
-                        remaining ^= low_x
-                        if (informed_v[x] >> u) & 1:
-                            continue
-                        informed_v[x] |= 1 << u
-                        completeness_count += 1
-                        per_node_lane[v] += 1
-                        outbox.setdefault(u, []).append((_TAG_COMPLETENESS, x))
-                        break
-
-            # Task 2: answer the requests received in the previous round.
-            pending_answers = answers[v]
-            if pending_answers:
-                to_visit = neighbors
-                while to_visit:
-                    low = to_visit & -to_visit
-                    u = low.bit_length() - 1
-                    to_visit ^= low
-                    answer = pending_answers.get(u)
-                    if answer is not None:
-                        token_count += 1
-                        per_node_lane[v] += 1
-                        outbox.setdefault(u, []).append((_TAG_TOKEN, answer))
-            answers[v] = {}
-
-            # Task 3: request tokens of the highest-priority incomplete source.
-            active = -1
-            known_complete_v = known_complete[v]
-            for x in range(s):
-                if (cw >> x) & 1:
-                    continue
-                if known_complete_v[x]:
-                    active = x
-                    break
-            if active >= 0:
-                pending_mask = pending_request_bits(req_prev[v], neighbors)
-                know_v = know[v]
-                missing = [
-                    bit
-                    for bit in self.catalog_bits[active]
-                    if not (know_v >> bit) & 1 and not (pending_mask >> bit) & 1
-                ]
-                if missing:
-                    complete_neighbors = neighbors & known_complete_v[active]
-                    sent: Optional[Dict[int, int]] = None
-                    for position, u in enumerate(
-                        prioritized_edge_indices(
-                            n,
-                            v,
-                            complete_neighbors,
-                            round_index,
-                            edge_inserted,
-                            edge_token_round,
-                        )
-                    ):
-                        if position >= len(missing):
-                            break
-                        bit = missing[position]
-                        request_count += 1
-                        per_node_lane[v] += 1
-                        outbox.setdefault(u, []).append((_TAG_REQUEST, bit))
-                        if sent is None:
-                            sent = req_cur[v] = {}
-                        sent[u] = bit
-
-            # Flush in ascending-receiver order (the kernel's delivery order).
-            for u in sorted(outbox):
-                box = deliveries[u]
-                if box is None:
-                    box = deliveries[u] = []
-                box.extend((v, tag, value) for tag, value in outbox[u])
-
-        learn_lane_index = state.learn_lane_index
-        for u in range(n):
-            box = deliveries[u]
-            if not box:
-                continue
-            for sender, tag, value in box:
-                if tag == _TAG_COMPLETENESS:
-                    known_complete[u][value] |= 1 << sender
-                elif tag == _TAG_TOKEN:
-                    if not (know[u] >> value) & 1:
-                        know[u] |= 1 << value
-                        learn_lane_index(lane, u, value)
-                        edge_token_round[edge_id(u, sender, n)] = round_index
-                        if know[u] != full:
-                            self._update_completeness(u)
-                        else:
-                            complete_wrt[u] = (1 << s) - 1
-                else:  # _TAG_REQUEST
-                    answers[u][sender] = value
-
-        self.req_prev = req_cur
-        accounting.count_lane(lane, _KIND_TOKEN, token_count)
-        accounting.count_lane(lane, _KIND_COMPLETENESS, completeness_count)
-        accounting.count_lane(lane, _KIND_REQUEST, request_count)
-
-
-class _MultiSourceBatchProgram(BatchRoundProgram):
-    """Multi-Source-Unicast across lanes: per-lane protocol state, lockstep rounds.
-
-    Requests depend on each lane's own edge history (the new > idle >
-    contributive priority of Section 3.1.1), so the round body replays
-    :class:`_MultiSourceFastProgram` lane by lane through one
-    :class:`_MultiSourceLaneMachine` per lane, each fed from that lane's
-    :class:`~repro.core.rounds.AdversaryStage` insertions.  Every lane runs
-    the catalog derived from the problem's initial placement, exactly like
-    :meth:`MultiSourceUnicastAlgorithm.default_catalog`.
-    """
-
-    def setup(self) -> None:
-        kernel = self.kernel
-        problem = kernel.problem
-        token_index = kernel.token_index
-        catalog = tokens_by_source(problem.tokens)
-        catalog_bits = [
-            tuple(sorted(token_index[token] for token in catalog[source]))
-            for source in sorted(catalog)
-        ]
-        initial_masks = [
-            sum(1 << token_index[token] for token in problem.initial_knowledge[node])
-            for node in self.nodes
-        ]
-        full_mask = (1 << self.k) - 1
-        n = self.n
-        self.machines: List[_MultiSourceLaneMachine] = [
-            _MultiSourceLaneMachine(n, full_mask, catalog_bits, list(initial_masks))
-            for _ in range(kernel.lanes)
-        ]
-
-    def deliver(self, round_index: int, commitment) -> None:
-        kernel = self.kernel
-        stages = kernel.stages
-        state = self.state
-        accounting = self.accounting
-        # Once every lane's topology is steady the kernel stops stepping the
-        # stages and their inserted_ids go stale; a serial run would see
-        # empty insertions from then on, so skipping the fold is identical.
-        stages_advanced = kernel.stages_advanced(round_index)
-        machines = self.machines
-        for lane in self.np.nonzero(kernel.active_lanes)[0]:
-            lane = int(lane)
-            stage = stages[lane]
-            machines[lane].play_round(
-                lane,
-                round_index,
-                stage.adj,
-                stage.inserted_ids if stages_advanced else None,
-                state,
-                accounting,
-            )

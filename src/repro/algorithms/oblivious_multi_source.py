@@ -37,17 +37,14 @@ Implementation notes (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.algorithms.multi_source import (
     MultiSourceUnicastAlgorithm,
     _MultiSourceFastProgram,
-    _MultiSourceLaneMachine,
 )
-from repro.batch.programs import BatchRoundProgram
 from repro.algorithms.random_walks import (
     RandomWalkDisseminator,
-    default_degree_threshold,
     default_num_centers,
     phase_one_round_budget,
     source_count_threshold,
@@ -231,11 +228,6 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
             return None
         return lambda kernel: _ObliviousTwoPhaseFastProgram(kernel, self)
 
-    def batch_program_factory(self) -> Optional[Callable]:
-        if type(self) is not ObliviousMultiSourceAlgorithm:
-            return None
-        return lambda kernel: _ObliviousTwoPhaseBatchProgram(kernel, self)
-
 
 class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
     """Algorithm 2 on bitmask state: real phase 1, fast phase 2.
@@ -342,140 +334,3 @@ class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
         extra["phase"] = 2
         extra["centers"] = self.algorithm.centers
         return extra
-
-
-class _ObliviousTwoPhaseBatchProgram(BatchRoundProgram):
-    """Algorithm 2 across lanes: real per-lane phase 1, per-lane fast phase 2.
-
-    Phase 1 (random walks) is RNG-driven, and every lane draws its own
-    centers and walk steps from its own algorithm stream, so each lane gets
-    a *fresh* :class:`ObliviousMultiSourceAlgorithm` instance bound to the
-    lane's RNG and the lane-selected view of the batch knowledge state; its
-    rounds are driven through the exchange semantics, message for message,
-    exactly like the serial :class:`_ObliviousTwoPhaseFastProgram`.  Lanes
-    switch phases independently: the moment a lane's algorithm reaches
-    phase 2, its center catalog and phase-1 edge history are fixed into a
-    :class:`~repro.algorithms.multi_source._MultiSourceLaneMachine` that
-    replays every later round of that lane.  Lanes that skip phase 1
-    entirely activate their machine during setup.
-    """
-
-    def setup(self) -> None:
-        kernel = self.kernel
-        shared = self.algorithm
-        state = self.state
-        lanes = kernel.lanes
-        self.machines: List[Optional[_MultiSourceLaneMachine]] = [None] * lanes
-        self.lane_algorithms: List[ObliviousMultiSourceAlgorithm] = []
-        for lane in range(lanes):
-            state.select_lane(lane)
-            algorithm = ObliviousMultiSourceAlgorithm(
-                center_probability=shared._center_probability_override,
-                degree_threshold=shared._degree_threshold_override,
-                phase1_round_limit=shared._phase1_round_limit_override,
-                force_two_phase=shared._force_two_phase,
-            )
-            # Per-lane RNG parity with a serial run: the lane's algorithm
-            # stream drives center selection and every walk step.
-            algorithm.setup(kernel.problem, kernel.algorithm_rngs[lane], state=state)
-            self.lane_algorithms.append(algorithm)
-            if algorithm.phase == 2:
-                self._activate_lane(lane)
-
-    def _activate_lane(self, lane: int) -> None:
-        """Fix the lane's center catalog and hand over to the fast replay.
-
-        The lane's algorithm object drove phase 1, so its object-level edge
-        history (including token rounds recorded by ``receive_messages``) is
-        the authoritative one — convert it to edge ids for the machine,
-        which keeps extending it (mirroring the serial program's shared
-        history dicts).
-        """
-        kernel = self.kernel
-        state = self.state.select_lane(lane)
-        algorithm = self.lane_algorithms[lane]
-        token_index = kernel.token_index
-        index_of = kernel.index_of
-        n = self.n
-        catalog_bits = [
-            tuple(sorted(token_index[token] for token in algorithm.catalog_of(source)))
-            for source in algorithm.catalog_sources()
-        ]
-        know_masks = [state.know_mask(v) for v in range(n)]
-        edge_inserted = {
-            edge_id(index_of[u], index_of[v], n): round_index
-            for (u, v), round_index in algorithm._edge_last_inserted.items()
-        }
-        edge_token_round = {
-            edge_id(index_of[u], index_of[v], n): round_index
-            for (u, v), round_index in algorithm._edge_last_token_round.items()
-        }
-        self.machines[lane] = _MultiSourceLaneMachine(
-            n,
-            (1 << self.k) - 1,
-            catalog_bits,
-            know_masks,
-            edge_inserted=edge_inserted,
-            edge_token_round=edge_token_round,
-        )
-
-    def deliver(self, round_index: int, commitment) -> None:
-        kernel = self.kernel
-        stages = kernel.stages
-        state = self.state
-        accounting = self.accounting
-        stages_advanced = kernel.stages_advanced(round_index)
-        machines = self.machines
-        nodes = self.nodes
-        n = self.n
-        index_of = kernel.index_of
-        for lane in self.np.nonzero(kernel.active_lanes)[0]:
-            lane = int(lane)
-            stage = stages[lane]
-            machine = machines[lane]
-            if machine is not None:
-                machine.play_round(
-                    lane,
-                    round_index,
-                    stage.adj,
-                    stage.inserted_ids if stages_advanced else None,
-                    state,
-                    accounting,
-                )
-                continue
-            # Phase 1: the exchange semantics, verbatim, against the lane's
-            # live algorithm (see _ObliviousTwoPhaseFastProgram.deliver).
-            state.select_lane(lane)
-            algorithm = self.lane_algorithms[lane]
-            neighbors = stage.neighbors_view()
-            if stages_advanced:
-                inserted = [
-                    (nodes[eid // n], nodes[eid % n]) for eid in stage.inserted_ids
-                ]
-                removed = [
-                    (nodes[eid // n], nodes[eid % n]) for eid in stage.removed_ids
-                ]
-            else:
-                inserted = removed = []
-            algorithm.on_topology(round_index, neighbors, inserted, removed)
-            sends = algorithm.select_messages(round_index, neighbors)
-            per_node_lane = accounting.per_node[lane]
-            inbox: Dict[NodeId, List[ReceivedMessage]] = {
-                node: [] for node in nodes
-            }
-            kind_counts: Dict[str, int] = {}
-            for sender in sorted(sends):
-                sender_index = index_of[sender]
-                for receiver in sorted(sends[sender]):
-                    for payload in sends[sender][receiver]:
-                        kind = payload.kind.value
-                        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-                        per_node_lane[sender_index] += 1
-                        inbox[receiver].append(
-                            ReceivedMessage(sender=sender, payload=payload)
-                        )
-            for kind, count in kind_counts.items():
-                accounting.count_lane(lane, kind, count)
-            algorithm.receive_messages(round_index, inbox)
-            if algorithm.phase == 2:
-                self._activate_lane(lane)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.algorithms.base import UnicastAlgorithm
-from repro.batch.programs import BatchRoundProgram
 from repro.core.messages import (
     CompletenessMessage,
     MessageKind,
@@ -36,12 +35,7 @@ from repro.core.messages import (
     TokenMessage,
 )
 from repro.core.observation import SentRecord
-from repro.core.rounds import (
-    FastRoundProgram,
-    pending_request_bits,
-    prioritized_edge_indices,
-    record_edge_insertions,
-)
+from repro.core.rounds import FastRoundProgram
 from repro.core.state import edge_id
 from repro.core.tokens import Token
 from repro.utils.ids import NodeId
@@ -224,11 +218,6 @@ class SingleSourceUnicastAlgorithm(UnicastAlgorithm):
             return None
         return lambda kernel: _SingleSourceFastProgram(kernel, self)
 
-    def batch_program_factory(self) -> Optional[Callable]:
-        if type(self) is not SingleSourceUnicastAlgorithm:
-            return None
-        return lambda kernel: _SingleSourceBatchProgram(kernel, self)
-
 
 class _SingleSourceFastProgram(FastRoundProgram):
     """Single-Source-Unicast (Algorithm 1) on bitmask state.
@@ -402,176 +391,3 @@ class _SingleSourceFastProgram(FastRoundProgram):
         accounting.count_bulk(_KIND_REQUEST, request_count)
         if records is not None:
             self.store_sent_records(records)
-
-
-class _SingleSourceBatchProgram(BatchRoundProgram):
-    """Single-Source-Unicast across lanes: per-lane protocol state, lockstep rounds.
-
-    Requests depend on each lane's own edge history (the new > idle >
-    contributive priority of Section 3.1.1), so the round body replays
-    :class:`_SingleSourceFastProgram` lane by lane on the lane's adjacency
-    bitmasks, with one ``edge id -> round`` history pair per lane fed from
-    that lane's :class:`~repro.core.rounds.AdversaryStage` insertions.
-    Knowledge is mirrored in per-lane integer bitmasks so the completeness
-    test and token-assignment loop never touch a numpy scalar; the batch
-    state is only told about successful learnings.  The batch kernel admits
-    only oblivious adversaries, so no ``SentRecord`` stream is needed.
-    """
-
-    def setup(self) -> None:
-        problem = self.kernel.problem
-        sources = problem.sources
-        if len(sources) != 1:
-            raise ConfigurationError(
-                "SingleSourceUnicastAlgorithm requires a single-source problem; "
-                f"got {len(sources)} sources (use MultiSourceUnicastAlgorithm instead)"
-            )
-        self.source = sources[0]
-        if problem.initial_knowledge[self.source] != frozenset(problem.tokens):
-            raise ConfigurationError("the source node must initially hold all k tokens")
-        token_index = self.kernel.token_index
-        initial_masks = [
-            sum(1 << token_index[token] for token in problem.initial_knowledge[node])
-            for node in self.nodes
-        ]
-        lanes = self.kernel.lanes
-        n = self.n
-        self.full_mask = (1 << self.k) - 1
-        self.know_masks: List[List[int]] = [list(initial_masks) for _ in range(lanes)]
-        self.informed: List[List[int]] = [[0] * n for _ in range(lanes)]
-        self.known_complete: List[List[int]] = [[0] * n for _ in range(lanes)]
-        self.answers: List[List[Dict[int, int]]] = [
-            [{} for _ in range(n)] for _ in range(lanes)
-        ]
-        self.req_prev: List[List[Optional[Dict[int, int]]]] = [
-            [None] * n for _ in range(lanes)
-        ]
-        # Per-lane edge histories (id -> round), the per-lane analogue of
-        # FastRoundProgram.track_edge_history.
-        self.edge_inserted: List[Dict[int, int]] = [{} for _ in range(lanes)]
-        self.edge_token_round: List[Dict[int, int]] = [{} for _ in range(lanes)]
-
-    def deliver(self, round_index: int, commitment) -> None:
-        n = self.n
-        full_mask = self.full_mask
-        state = self.state
-        stages = self.kernel.stages
-        accounting = self.accounting
-        per_node = accounting.per_node
-        # Once every lane's topology is steady the kernel stops stepping the
-        # stages and their inserted_ids go stale; a serial run would see
-        # empty insertions from then on, so skipping the fold is identical.
-        stages_advanced = self.kernel.stages_advanced(round_index)
-        learn_lane_index = state.learn_lane_index
-        for lane in self.np.nonzero(self.kernel.active_lanes)[0]:
-            lane = int(lane)
-            stage = stages[lane]
-            adj = stage.adj
-            edge_inserted = self.edge_inserted[lane]
-            edge_token_round = self.edge_token_round[lane]
-            if stages_advanced:
-                record_edge_insertions(
-                    edge_inserted, edge_token_round, stage.inserted_ids, round_index
-                )
-            know_masks = self.know_masks[lane]
-            informed = self.informed[lane]
-            known_complete = self.known_complete[lane]
-            answers = self.answers[lane]
-            req_prev = self.req_prev[lane]
-            req_cur: List[Optional[Dict[int, int]]] = [None] * n
-            per_node_lane = per_node[lane]
-            deliveries: List[Optional[List[Tuple[int, int, int]]]] = [None] * n
-
-            token_count = 0
-            completeness_count = 0
-            request_count = 0
-
-            for v in range(n):
-                neighbors = adj[v]
-                if know_masks[v] == full_mask:
-                    # Complete node: announce completeness once per neighbour,
-                    # then answer last round's requests.
-                    pending_answers = answers[v]
-                    informed_mask = informed[v]
-                    to_visit = neighbors
-                    while to_visit:
-                        low = to_visit & -to_visit
-                        u = low.bit_length() - 1
-                        to_visit ^= low
-                        if not (informed_mask >> u) & 1:
-                            informed_mask |= 1 << u
-                            completeness_count += 1
-                            per_node_lane[v] += 1
-                            box = deliveries[u]
-                            if box is None:
-                                box = deliveries[u] = []
-                            box.append((v, _TAG_COMPLETENESS, 0))
-                        else:
-                            answer = pending_answers.get(u)
-                            if answer is not None:
-                                token_count += 1
-                                per_node_lane[v] += 1
-                                box = deliveries[u]
-                                if box is None:
-                                    box = deliveries[u] = []
-                                box.append((v, _TAG_TOKEN, answer))
-                    informed[v] = informed_mask
-                    if pending_answers:
-                        answers[v] = {}
-                else:
-                    # Incomplete node: skip tokens already guaranteed to
-                    # arrive, then assign one distinct missing token per
-                    # known-complete neighbour in priority order.
-                    pending_mask = pending_request_bits(req_prev[v], neighbors)
-                    complete_neighbors = neighbors & known_complete[v]
-                    if not complete_neighbors:
-                        continue
-                    sent: Optional[Dict[int, int]] = None
-                    missing = ~know_masks[v] & full_mask
-                    for u in prioritized_edge_indices(
-                        n,
-                        v,
-                        complete_neighbors,
-                        round_index,
-                        edge_inserted,
-                        edge_token_round,
-                    ):
-                        token_bit_index = -1
-                        while missing:
-                            low = missing & -missing
-                            candidate = low.bit_length() - 1
-                            missing ^= low
-                            if not (pending_mask >> candidate) & 1:
-                                token_bit_index = candidate
-                                break
-                        if token_bit_index < 0:
-                            break
-                        request_count += 1
-                        per_node_lane[v] += 1
-                        box = deliveries[u]
-                        if box is None:
-                            box = deliveries[u] = []
-                        box.append((v, _TAG_REQUEST, token_bit_index))
-                        if sent is None:
-                            sent = req_cur[v] = {}
-                        sent[u] = token_bit_index
-
-            for u in range(n):
-                box = deliveries[u]
-                if not box:
-                    continue
-                for sender, tag, value in box:
-                    if tag == _TAG_COMPLETENESS:
-                        known_complete[u] |= 1 << sender
-                    elif tag == _TAG_TOKEN:
-                        if not (know_masks[u] >> value) & 1:
-                            know_masks[u] |= 1 << value
-                            learn_lane_index(lane, u, value)
-                            edge_token_round[edge_id(u, sender, n)] = round_index
-                    else:  # _TAG_REQUEST
-                        answers[u][sender] = value
-
-            self.req_prev[lane] = req_cur
-            accounting.count_lane(lane, _KIND_TOKEN, token_count)
-            accounting.count_lane(lane, _KIND_COMPLETENESS, completeness_count)
-            accounting.count_lane(lane, _KIND_REQUEST, request_count)

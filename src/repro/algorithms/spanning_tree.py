@@ -30,7 +30,6 @@ from collections import deque
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.algorithms.base import UnicastAlgorithm
-from repro.batch.programs import BatchRoundProgram
 from repro.core.messages import (
     ControlMessage,
     MessageKind,
@@ -205,11 +204,6 @@ class SpanningTreeAlgorithm(UnicastAlgorithm):
             return None
         return lambda kernel: _SpanningTreeFastProgram(kernel, self)
 
-    def batch_program_factory(self) -> Optional[Callable]:
-        if type(self) is not SpanningTreeAlgorithm:
-            return None
-        return lambda kernel: _SpanningTreeBatchProgram(kernel, self)
-
 
 class _SpanningTreeFastProgram(FastRoundProgram):
     """Spanning-tree construction plus token pipelining on bitmask state.
@@ -383,186 +377,3 @@ class _SpanningTreeFastProgram(FastRoundProgram):
         accounting.count_bulk(_KIND_CONTROL, control_count)
         if records is not None:
             self.store_sent_records(records)
-
-
-class _SpanningTreeBatchProgram(BatchRoundProgram):
-    """Spanning-tree construction across lanes: per-lane tree state,
-    lockstep rounds.
-
-    Tree membership, convergecast queues and distribution progress are all
-    per-lane (each lane's adversary presents different edges, so the trees
-    diverge), so the round body replays :class:`_SpanningTreeFastProgram`
-    lane by lane on the lane's adjacency bitmasks.  Learnings go straight
-    to the batch state — ``learn_lane_index`` is idempotent, mirroring the
-    fast program's unconditional ``learn_index``.
-    """
-
-    def setup(self) -> None:
-        configured = self.algorithm.configured_root
-        index_of = self.kernel.index_of
-        if configured is not None and configured in index_of:
-            self.root = index_of[configured]
-        else:
-            self.root = 0  # nodes are sorted, so index 0 is the lowest ID
-        n = self.n
-        root = self.root
-        lanes = self.kernel.lanes
-        token_index = self.kernel.token_index
-        initial = self.kernel.problem.initial_knowledge
-        up_template = [
-            sorted(token_index[token] for token in initial[node])
-            if index != root
-            else []
-            for index, node in enumerate(self.nodes)
-        ]
-        root_tokens = sorted(
-            token_index[token] for token in initial[self.nodes[root]]
-        )
-        self.parent: List[List[int]] = []
-        self.children: List[List[List[int]]] = []
-        self.children_seen: List[List[Set[int]]] = []
-        self.flood_pending: List[List[bool]] = []
-        self.pending_ack: List[List[int]] = []
-        self.up_queue: List[List[deque]] = []
-        self.distribute: List[List[List[int]]] = []
-        self.distribute_seen: List[List[int]] = []
-        self.down_progress: List[List[Dict[int, int]]] = []
-        for _ in range(lanes):
-            parent = [-1] * n
-            parent[root] = root
-            self.parent.append(parent)
-            self.children.append([[] for _ in range(n)])
-            self.children_seen.append([set() for _ in range(n)])
-            flood_pending = [False] * n
-            flood_pending[root] = True
-            self.flood_pending.append(flood_pending)
-            self.pending_ack.append([-1] * n)
-            self.up_queue.append([deque(queue) for queue in up_template])
-            distribute = [[] for _ in range(n)]
-            distribute_seen = [0] * n
-            for token_bit_index in root_tokens:
-                distribute_seen[root] |= 1 << token_bit_index
-                distribute[root].append(token_bit_index)
-            self.distribute.append(distribute)
-            self.distribute_seen.append(distribute_seen)
-            self.down_progress.append([{} for _ in range(n)])
-
-    def _add_to_distribution(
-        self, lane: int, node_index: int, token_bit_index: int
-    ) -> None:
-        bit = 1 << token_bit_index
-        if self.distribute_seen[lane][node_index] & bit:
-            return
-        self.distribute_seen[lane][node_index] |= bit
-        self.distribute[lane][node_index].append(token_bit_index)
-
-    def deliver(self, round_index: int, commitment) -> None:
-        n = self.n
-        root = self.root
-        state = self.state
-        stages = self.kernel.stages
-        accounting = self.accounting
-        per_node = accounting.per_node
-        for lane in self.np.nonzero(self.kernel.active_lanes)[0]:
-            lane = int(lane)
-            adj = stages[lane].adj
-            parent = self.parent[lane]
-            children = self.children[lane]
-            children_seen = self.children_seen[lane]
-            flood_pending = self.flood_pending[lane]
-            pending_ack = self.pending_ack[lane]
-            up_queue = self.up_queue[lane]
-            distribute_lane = self.distribute[lane]
-            down_progress = self.down_progress[lane]
-            per_node_lane = per_node[lane]
-            deliveries: List[Optional[List[Tuple[int, int, int]]]] = [None] * n
-            token_count = 0
-            control_count = 0
-
-            for v in range(n):
-                neighbors = adj[v]
-                sends: Dict[int, List[Tuple[int, int, int]]] = {}
-
-                # 1. Tree construction: flood the join beacon once,
-                #    acknowledge the adopted parent.
-                if flood_pending[v]:
-                    to_visit = neighbors
-                    while to_visit:
-                        low = to_visit & -to_visit
-                        u = low.bit_length() - 1
-                        to_visit ^= low
-                        control_count += 1
-                        per_node_lane[v] += 1
-                        sends.setdefault(u, []).append((v, _TAG_JOIN, 0))
-                    flood_pending[v] = False
-                ack_target = pending_ack[v]
-                if ack_target >= 0 and (neighbors >> ack_target) & 1:
-                    control_count += 1
-                    per_node_lane[v] += 1
-                    sends.setdefault(ack_target, []).append((v, _TAG_PARENT, 0))
-                    pending_ack[v] = -1
-
-                # 2. Convergecast one token per round toward the parent.
-                parent_of_v = parent[v]
-                if (
-                    v != root
-                    and parent_of_v >= 0
-                    and (neighbors >> parent_of_v) & 1
-                    and up_queue[v]
-                ):
-                    token_bit_index = up_queue[v].popleft()
-                    token_count += 1
-                    per_node_lane[v] += 1
-                    sends.setdefault(parent_of_v, []).append(
-                        (v, _TAG_TOKEN, token_bit_index)
-                    )
-
-                # 3. Pipeline the distribution list down to each child.
-                distribute = distribute_lane[v]
-                progress_map = down_progress[v]
-                for child in children[v]:
-                    if not (neighbors >> child) & 1:
-                        continue
-                    progress = progress_map.get(child, 0)
-                    if progress < len(distribute):
-                        token_count += 1
-                        per_node_lane[v] += 1
-                        sends.setdefault(child, []).append(
-                            (v, _TAG_TOKEN, distribute[progress])
-                        )
-                        progress_map[child] = progress + 1
-
-                # Flush in ascending-receiver order (the kernel's delivery
-                # order), matching the fast program's inbox ordering.
-                for u in sorted(sends):
-                    box = deliveries[u]
-                    if box is None:
-                        box = deliveries[u] = []
-                    box.extend(sends[u])
-
-            for u in range(n):
-                box = deliveries[u]
-                if not box:
-                    continue
-                for sender, tag, value in box:
-                    if tag == _TAG_TOKEN:
-                        state.learn_lane_index(lane, u, value)
-                        if sender == parent[u]:
-                            # Downward traffic: forward to all children.
-                            self._add_to_distribution(lane, u, value)
-                        elif u == root:
-                            self._add_to_distribution(lane, u, value)
-                        else:
-                            up_queue[u].append(value)
-                    elif tag == _TAG_JOIN:
-                        if parent[u] == -1:
-                            parent[u] = sender
-                            pending_ack[u] = sender
-                            flood_pending[u] = True
-                    else:  # _TAG_PARENT
-                        if sender not in children_seen[u]:
-                            children_seen[u].add(sender)
-                            children[u].append(sender)
-
-            accounting.count_lane(lane, _KIND_TOKEN, token_count)
-            accounting.count_lane(lane, _KIND_CONTROL, control_count)

@@ -41,12 +41,15 @@ executes the delta, while the :class:`RunSet` still yields the *complete*
 record set (cached + fresh), so aggregates and reports are byte-identical
 to a cold full run.
 
-**Vectorized groups.**  On the in-process path, consecutive pending cells
-of the same spec form one group; when the scenario is vectorizable (the
-algorithm has a batch program, the adversary is oblivious) and numpy is
-installed, the whole group runs through the vectorized batch backend
-(:mod:`repro.batch`) in one pass.  Records are field-identical either way —
-an explicit ``.backend("bitset")`` opts out.
+**Engine choice.**  Consecutive pending cells of the same spec form one
+group, and :func:`execute_group` — behind the in-process path, the worker
+pool and the service daemon alike — picks the engine for it.  When the
+spec names the default backend, a vectorizable group (the algorithm has a
+batch program, the adversary is oblivious, numpy is installed) runs
+through the vectorized batch backend (:mod:`repro.batch`) in one pass,
+and any other group runs cell by cell on the ``bitset`` engine.  A spec
+naming any other backend runs on it.  Records are field-identical either
+way and always carry the spec as written.
 """
 
 from __future__ import annotations
@@ -114,7 +117,6 @@ __all__ = [
     "PlanCell",
     "RunSet",
     "execute_cell",
-    "execute_cell_payload",
     "execute_group",
     "execute_group_payload",
     "group_payloads",
@@ -574,19 +576,29 @@ def _cell_tracer(collect_timings: bool):
 def execute_cell(
     spec: ScenarioSpec, repetition: int, collect_timings: bool = False
 ) -> Tuple[Record, CellMeta]:
-    """Run one plan cell; the record rides with never-stored execution metadata.
+    """Run one plan cell on ``spec.backend`` exactly as written.
 
-    The unit of work behind both the in-process path and every external
-    scheduler (worker pools, the :mod:`repro.service` daemon): given a spec
-    and a repetition index it derives the repetition seed, runs the
-    scenario and returns ``(record, meta)`` where ``meta`` is
-    ``{"backend", "seconds", "stage_seconds"}``.
+    Given a spec and a repetition index it derives the repetition seed,
+    runs the scenario and returns ``(record, meta)`` where ``meta`` is
+    ``{"backend", "seconds", "stage_seconds"}`` — execution metadata that
+    rides with the record but is never stored.  Sweeps go through
+    :func:`execute_group` instead, which picks the engine per group.
     """
+    return _run_cell(spec, spec, repetition, collect_timings)
+
+
+def _run_cell(
+    spec: ScenarioSpec,
+    run_as: ScenarioSpec,
+    repetition: int,
+    collect_timings: bool,
+) -> Tuple[Record, CellMeta]:
+    """Run ``run_as`` (``spec`` on some backend); the record keeps ``spec``."""
     tracer = _cell_tracer(collect_timings)
     started = time.perf_counter()
-    result = run_scenario(spec, repetition, tracer=tracer)
+    result = run_scenario(run_as, repetition, tracer=tracer)
     meta: CellMeta = {
-        "backend": spec.backend,
+        "backend": run_as.backend,
         "seconds": time.perf_counter() - started,
         "stage_seconds": result.timings,
     }
@@ -633,13 +645,22 @@ def execute_group(
     repetitions: Sequence[int],
     collect_timings: bool = False,
 ) -> List[Tuple[Record, CellMeta]]:
-    """Run a same-spec repetition group, vectorized when possible.
+    """Run a same-spec repetition group on the engine picked for it.
 
-    The group-level unit of work behind both the in-process path and the
-    worker pools: a vectorizable group runs all repetitions as lockstep
-    lanes of one batch kernel; anything else runs cell by cell through the
-    spec's own backend.  Either way the outcome list is in repetition
-    order and each record is field-identical to a serial execution.
+    The unit of work behind the in-process path, the ``RunSet`` worker
+    pool and the service daemon, and the one place a sweep cell's engine
+    is chosen:
+
+    * a vectorizable group (:func:`vectorizable_group`) runs all
+      repetitions as lockstep lanes of one batch kernel;
+    * any other group whose spec names the default backend runs cell by
+      cell on ``bitset``, which runs each algorithm's native fast program;
+    * a spec naming any other backend runs on that backend.
+
+    Every validated engine produces field-identical results, so each
+    record carries the caller's spec unchanged (``spec.backend``
+    included); ``meta["backend"]`` names the engine that ran.  The
+    outcome list is in repetition order.
     """
     if vectorizable_group(spec, len(repetitions)):
         from repro.backends import BatchBackend
@@ -666,8 +687,16 @@ def execute_group(
                 )
             )
         return outcomes
+    # Imported lazily, as run_scenario does: repro.backends imports the
+    # scenario layer.
+    from repro.backends import DEFAULT_BACKEND
+
+    run_as = (
+        replace(spec, backend="bitset") if spec.backend == DEFAULT_BACKEND else spec
+    )
     return [
-        execute_cell(spec, repetition, collect_timings) for repetition in repetitions
+        _run_cell(spec, run_as, repetition, collect_timings)
+        for repetition in repetitions
     ]
 
 
@@ -687,32 +716,18 @@ def _execute_pending(
         )
 
 
-def execute_cell_payload(
-    payload: Tuple[str, int, Tuple[str, ...], bool]
-) -> Tuple[Record, CellMeta]:
-    """Worker entry point: rebuild the spec from JSON and run one cell.
-
-    Picklable by module path, so process pools (``RunSet`` workers, the
-    service daemon's pool) can ship cells as
-    ``(spec_json, repetition, extension_modules, collect_timings)`` tuples.
-    """
-    spec_json, repetition, extension_modules, collect_timings = payload
-    for module_name in extension_modules:
-        importlib.import_module(module_name)
-    return execute_cell(ScenarioSpec.from_json(spec_json), repetition, collect_timings)
-
-
 #: A picklable same-spec repetition group:
 #: ``(spec_json, repetitions, extension_modules, collect_timings)``.
 GroupPayload = Tuple[str, Tuple[int, ...], Tuple[str, ...], bool]
 
 
 def execute_group_payload(payload: GroupPayload) -> List[Tuple[Record, CellMeta]]:
-    """Worker entry point: rebuild the spec and run a whole repetition group.
+    """Worker entry point: rebuild the spec and run a repetition group.
 
-    The batch-parallel analogue of :func:`execute_cell_payload`: one task
-    per *group*, so a worker process runs all lanes of a vectorizable grid
-    cell in one batch-kernel pass while other groups occupy other cores.
+    Picklable by module path, so process pools (``RunSet`` workers, the
+    service daemon's pool) ship groups as :data:`GroupPayload` tuples; a
+    worker runs all lanes of a vectorizable grid cell in one batch-kernel
+    pass while other groups occupy other cores.
     """
     spec_json, repetitions, extension_modules, collect_timings = payload
     for module_name in extension_modules:

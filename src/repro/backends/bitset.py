@@ -12,13 +12,12 @@ Execution modes, discovered per algorithm (see :func:`fast_path_names`):
 
 * **native** — the algorithm ships a bit-level
   :class:`~repro.core.rounds.FastRoundProgram` next to its reference
-  implementation (flooding, one-shot-flooding, naive-unicast,
-  single-source, spanning-tree, multi-source); the kernel runs it instead
+  implementation (every registered algorithm); the kernel runs it instead
   of the generic exchange program;
-* **generic** — every other algorithm (including subclasses that override
-  behaviour a fast program does not model) runs its real ``select`` /
-  ``receive`` methods through the exchange program, bound to the bitset
-  state.
+* **generic** — every other algorithm (third-party ones, and subclasses
+  that override behaviour a fast program does not model) runs its real
+  ``select`` / ``receive`` methods through the exchange program, bound to
+  the bitset state.
 
 Both adversary classes are supported: adaptive adversaries receive
 :class:`~repro.core.observation.RoundObservation` objects built lazily from

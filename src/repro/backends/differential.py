@@ -294,8 +294,9 @@ def default_differential_specs() -> List[ScenarioSpec]:
     Covers every registered algorithm under both adversary classes:
 
     * every bitset fast program (flooding, one-shot-flooding, single-source,
-      spanning-tree, naive-unicast, multi-source) against oblivious
-      adversaries — steady churn, a static random graph,
+      spanning-tree, naive-unicast, multi-source, and the two-phase
+      ``oblivious`` program, which hands phase 2 to the multi-source one)
+      against oblivious adversaries — steady churn, a static random graph,
       Θ(n)-changes-per-round star recentering and path reshuffling;
     * the same fast programs against **adaptive** adversaries (request
       cutting, star recentering on the least-informed node, targeted
@@ -303,8 +304,6 @@ def default_differential_specs() -> List[ScenarioSpec]:
       the kernel's lazy RoundObservation adapter on bitset state — in
       particular unicast-model cases where the graph is fixed before nodes
       commit to their messages;
-    * the generic kernel path (the two-phase ``oblivious`` algorithm, which
-      has no native program) on both backends;
     * a round-capped spec whose executions do *not* complete (both backends
       must agree on incomplete results too).
     """
@@ -419,7 +418,7 @@ def default_differential_specs() -> List[ScenarioSpec]:
 
     # The remaining registered algorithms under oblivious adversaries:
     # one-shot flooding, naive unicast, multi-source, and the two-phase
-    # oblivious algorithm (generic kernel path — no native fast program).
+    # oblivious algorithm.
     for seed in (0, 1):
         specs.append(
             _spec(

@@ -68,14 +68,17 @@ def batch_program_names() -> List[str]:
 def can_vectorize_spec(spec) -> bool:
     """True iff the scenario named by ``spec`` can run in lockstep lanes.
 
-    Instantiates the algorithm and adversary from the registries (cheap:
-    constructors only) to ask them; never raises for unknown names — the
-    caller's normal dispatch path will surface those errors.
+    Instantiates the algorithm from the registry to ask it, and the
+    adversary only when the algorithm has a batch program — an adversary
+    constructor may build a whole graph schedule.  Never raises for unknown
+    names; the caller's normal dispatch path will surface those errors.
     """
     from repro.scenarios.registry import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
 
     try:
         algorithm = ALGORITHM_REGISTRY.create(spec.algorithm, **spec.algorithm_params)
+        if algorithm.batch_program_factory() is None:
+            return False
         adversary = ADVERSARY_REGISTRY.create(spec.adversary, **spec.adversary_params)
     except Exception:
         return False

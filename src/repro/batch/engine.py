@@ -27,7 +27,7 @@ adaptive scenarios to per-lane serial fallback.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.batch.programs import BatchRoundProgram, LaneAccounting
 from repro.core.events import EventLog
@@ -104,12 +104,13 @@ class BatchKernel:
         self.max_rounds = require_positive_int(max_rounds, "max_rounds")
 
         # Per lane, mirror the serial kernel's RNG derivation exactly: the
-        # algorithm stream is spawned first, then the adversary stream.
-        self.algorithm_rngs = []
+        # algorithm stream is spawned first, then the adversary stream.  No
+        # batch program draws from the algorithm stream, but spawning it
+        # advances the base stream the adversary stream is drawn from.
         self.adversary_rngs = []
         for seed in seeds:
             base_rng = ensure_rng(seed)
-            self.algorithm_rngs.append(spawn_rng(base_rng, "algorithm"))
+            spawn_rng(base_rng, "algorithm")
             self.adversary_rngs.append(spawn_rng(base_rng, "adversary"))
 
         self.state = BatchKnowledgeState(problem, lanes=self.lanes)
@@ -161,23 +162,13 @@ class BatchKernel:
             else None
         )
 
-    def stages_advanced(self, round_index: int) -> bool:
-        """Whether the per-lane adversary stages stepped this round.
-
-        False once every lane's topology has gone steady: from then on
-        ``stages[lane].inserted_ids`` / ``removed_ids`` hold stale values
-        from the last stepped round, and programs tracking per-edge history
-        must not re-consume them.
-        """
-        return self._steady_round is None or round_index <= self._steady_round
-
     def _advance_graphs(self, round_index: int) -> None:
         """Advance the adversary stage of every active lane.
 
         Inactive lanes are frozen: their traces, adjacency and adversary RNG
         stop exactly where the equivalent serial run stopped.
         """
-        if not self.stages_advanced(round_index):
+        if self._steady_round is not None and round_index > self._steady_round:
             # Every lane's topology (and dense adjacency) is frozen; traces
             # are caught up in bulk after the round loop.
             return

@@ -74,12 +74,6 @@ class LaneAccounting:
         self.kind_totals[kind_value] += amounts
         self._current_column += amounts
 
-    def count_lane(self, lane: int, kind_value: str, amount: int) -> None:
-        """Count ``amount`` messages of one kind on a single lane."""
-        if amount:
-            self._kind_array(kind_value)[lane] += amount
-            self._current_column[lane] += amount
-
     def close_round(self) -> None:
         if self._current_column is None:
             raise ConfigurationError("close_round called without begin_round")

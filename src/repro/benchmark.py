@@ -250,81 +250,20 @@ def _sweep_naive_unicast_spec(num_nodes: int, repetitions: int) -> ScenarioSpec:
     )
 
 
-def _sweep_single_source_spec(num_nodes: int, repetitions: int) -> ScenarioSpec:
-    k = num_nodes + num_nodes // 3
-    return ScenarioSpec(
-        problem="single-source",
-        problem_params={"num_nodes": num_nodes, "num_tokens": k},
-        algorithm="single-source",
-        adversary="churn",
-        adversary_params={"changes_per_round": 2},
-        repetitions=repetitions,
-        name=f"sweep-single-source-n{num_nodes}-k{k}-r{repetitions}",
-    )
-
-
-def _sweep_spanning_tree_spec(num_nodes: int, repetitions: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        problem="single-source",
-        problem_params={"num_nodes": num_nodes, "num_tokens": num_nodes},
-        algorithm="spanning-tree",
-        adversary="static-random",
-        adversary_params={"num_nodes": num_nodes, "edge_probability": 0.3},
-        repetitions=repetitions,
-        name=f"sweep-spanning-tree-n{num_nodes}-k{num_nodes}-r{repetitions}",
-    )
-
-
-def _sweep_multi_source_spec(num_nodes: int, repetitions: int) -> ScenarioSpec:
-    k = (num_nodes * 5) // 6
-    return ScenarioSpec(
-        problem="multi-source",
-        problem_params={"num_nodes": num_nodes, "num_tokens": k, "num_sources": 3},
-        algorithm="multi-source",
-        adversary="churn",
-        adversary_params={"changes_per_round": 2},
-        repetitions=repetitions,
-        name=f"sweep-multi-source-n{num_nodes}-k{k}-r{repetitions}",
-    )
-
-
-def _sweep_oblivious_spec(num_nodes: int, repetitions: int) -> ScenarioSpec:
-    # The registry default forces the two-phase variant, so every lane runs
-    # real random-walk phase-1 rounds before the multi-source replay.  The
-    # walks are RNG-sequential by design and run at parity lane-for-lane;
-    # the batch win comes from amortizing setup across many repetitions,
-    # hence the small-n, high-repetition cell.
-    return ScenarioSpec(
-        problem="multi-source",
-        problem_params={"num_nodes": num_nodes, "num_tokens": num_nodes, "num_sources": 2},
-        algorithm="oblivious",
-        adversary="churn",
-        adversary_params={"changes_per_round": 2},
-        repetitions=repetitions,
-        name=f"sweep-oblivious-n{num_nodes}-k{num_nodes}-r{repetitions}",
-    )
-
-
 def sweep_grid(quick: bool) -> List[ScenarioSpec]:
     """The multi-repetition sweep grid; ``quick`` is the CI-sized subset.
 
-    Both grids cover one cell per batch-vectorized algorithm — all seven
-    registered algorithms — and include the 32-repetition flooding sweep
-    at n=128, the scenario the batch perf gate (``--min-batch-speedup``)
-    is pinned to.  Cell sizes are tuned per algorithm: the bulk-vectorized
-    programs (flooding, one-shot-flooding, naive-unicast) win on large
-    lockstep rounds, while the per-lane replay programs (the unicast
-    family) win on setup amortization, so their cells are small-n,
-    many-repetition sweeps.
+    Both grids cover one cell per algorithm with a batch program — the
+    bulk-vectorized flooding, one-shot-flooding and naive-unicast, which
+    win on large lockstep rounds — and include the 32-repetition flooding
+    sweep at n=128, the scenario the batch perf gate
+    (``--min-batch-speedup``) is pinned to.  Every other algorithm's
+    groups run on the serial bitset program, so there is nothing to time.
     """
     grid = [
         _sweep_flooding_spec(128, 32),
         _sweep_one_shot_spec(64, 16),
         _sweep_naive_unicast_spec(32, 16),
-        _sweep_single_source_spec(12, 64),
-        _sweep_spanning_tree_spec(12, 96),
-        _sweep_multi_source_spec(12, 64),
-        _sweep_oblivious_spec(8, 160),
     ]
     if quick:
         return grid

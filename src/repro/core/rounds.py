@@ -539,76 +539,6 @@ class UnicastExchangeProgram(_ExchangeProgram):
             self._previous_messages = tuple(records)
 
 
-def record_edge_insertions(
-    edge_inserted: Dict[int, int],
-    edge_token_round: Dict[int, int],
-    inserted_ids,
-    round_index: int,
-) -> None:
-    """Fold one round's edge insertions into an ``id -> round`` history.
-
-    A reinserted edge starts a fresh history (see
-    ``UnicastAlgorithm.on_topology``), so its last token round is dropped.
-    Shared by the serial fast programs (through
-    :meth:`FastRoundProgram.update_edge_history`) and the per-lane batch
-    programs, which keep one history pair per lane.
-    """
-    for eid in inserted_ids:
-        edge_inserted[eid] = round_index
-        edge_token_round.pop(eid, None)
-
-
-def prioritized_edge_indices(
-    n: int,
-    node_index: int,
-    candidates_mask: int,
-    round_index: int,
-    edge_inserted: Dict[int, int],
-    edge_token_round: Dict[int, int],
-) -> List[int]:
-    """The Section-3.1.1 request priority order on index-layer state.
-
-    ``candidates_mask`` is a node bitmask; the result lists its indices in
-    **new** (inserted this round or the previous one), then **idle**, then
-    **contributive** order — ascending within each class, exactly like the
-    reference :meth:`~repro.algorithms.base.UnicastAlgorithm.is_new_edge`
-    family.  The history dicts are the caller's (one pair per lane in the
-    batch programs).
-    """
-    v = node_index
-    new_edges: List[int] = []
-    idle_edges: List[int] = []
-    contributive_edges: List[int] = []
-    to_visit = candidates_mask
-    while to_visit:
-        low = to_visit & -to_visit
-        u = low.bit_length() - 1
-        to_visit ^= low
-        eid = edge_id(v, u, n)
-        inserted_round = edge_inserted.get(eid, 0)
-        if inserted_round >= round_index - 1:
-            new_edges.append(u)
-        else:
-            token_round = edge_token_round.get(eid)
-            if token_round is not None and token_round >= inserted_round:
-                contributive_edges.append(u)
-            else:
-                idle_edges.append(u)
-    return new_edges + idle_edges + contributive_edges
-
-
-def pending_request_bits(
-    requests: Optional[Dict[int, int]], neighbors_mask: int
-) -> int:
-    """Token bits requested last round over edges that still exist."""
-    pending_mask = 0
-    if requests:
-        for u, token_bit_index in requests.items():
-            if (neighbors_mask >> u) & 1:
-                pending_mask |= 1 << token_bit_index
-    return pending_mask
-
-
 class FastRoundProgram(RoundProgram):
     """Base class for the bit-level fast programs shipped with algorithms.
 
@@ -716,12 +646,13 @@ class FastRoundProgram(RoundProgram):
     def update_edge_history(self, round_index: int) -> None:
         """Track per-edge insertion rounds; the delivery stage calls this
         before ``deliver`` for programs declaring ``track_edge_history``."""
-        record_edge_insertions(
-            self.edge_inserted,
-            self.edge_token_round,
-            self.kernel.graph.inserted_ids,
-            round_index,
-        )
+        edge_inserted = self.edge_inserted
+        edge_token_round = self.edge_token_round
+        for eid in self.kernel.graph.inserted_ids:
+            edge_inserted[eid] = round_index
+            # A reinserted edge starts a fresh history (see
+            # UnicastAlgorithm.on_topology).
+            edge_token_round.pop(eid, None)
 
     def prioritized_edges(
         self, node_index: int, candidates_mask: int, round_index: int
@@ -736,14 +667,29 @@ class FastRoundProgram(RoundProgram):
         :meth:`~repro.algorithms.base.UnicastAlgorithm.is_new_edge` family.
         Requires ``track_edge_history``.
         """
-        return prioritized_edge_indices(
-            self.n,
-            node_index,
-            candidates_mask,
-            round_index,
-            self.edge_inserted,
-            self.edge_token_round,
-        )
+        n = self.n
+        v = node_index
+        edge_inserted = self.edge_inserted
+        edge_token_round = self.edge_token_round
+        new_edges: List[int] = []
+        idle_edges: List[int] = []
+        contributive_edges: List[int] = []
+        to_visit = candidates_mask
+        while to_visit:
+            low = to_visit & -to_visit
+            u = low.bit_length() - 1
+            to_visit ^= low
+            eid = edge_id(v, u, n)
+            inserted_round = edge_inserted.get(eid, 0)
+            if inserted_round >= round_index - 1:
+                new_edges.append(u)
+            else:
+                token_round = edge_token_round.get(eid)
+                if token_round is not None and token_round >= inserted_round:
+                    contributive_edges.append(u)
+                else:
+                    idle_edges.append(u)
+        return new_edges + idle_edges + contributive_edges
 
     def pending_request_mask(
         self, requests: Optional[Dict[int, int]], neighbors_mask: int
@@ -753,7 +699,12 @@ class FastRoundProgram(RoundProgram):
         Those tokens are guaranteed to arrive this round (complete nodes
         respond immediately), so the node does not re-request them.
         """
-        return pending_request_bits(requests, neighbors_mask)
+        pending_mask = 0
+        if requests:
+            for u, token_bit_index in requests.items():
+                if (neighbors_mask >> u) & 1:
+                    pending_mask |= 1 << token_bit_index
+        return pending_mask
 
     def store_sent_records(self, records: List[SentRecord]) -> None:
         """Remember this round's sends for the next round's observation."""

@@ -21,6 +21,7 @@ helpful message.
 from __future__ import annotations
 
 import difflib
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -59,7 +60,7 @@ class RegistryEntry:
     def parameters(self) -> List[ParameterInfo]:
         """The factory's parameters with registration defaults applied."""
         parameters: List[ParameterInfo] = []
-        for parameter in self._signature_parameters():
+        for parameter in self._signature_parameters:
             if parameter.kind in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD):
                 continue
             if parameter.name in self.defaults:
@@ -86,7 +87,7 @@ class RegistryEntry:
 
     def accepts(self, parameter_name: str) -> bool:
         """Whether the factory accepts the given keyword parameter."""
-        for parameter in self._signature_parameters():
+        for parameter in self._signature_parameters:
             if parameter.kind is parameter.VAR_KEYWORD:
                 return True
             if parameter.name == parameter_name and parameter.kind is not parameter.VAR_POSITIONAL:
@@ -121,7 +122,10 @@ class RegistryEntry:
             "parameters": [info.describe() for info in self.parameters()],
         }
 
+    @functools.cached_property
     def _signature_parameters(self) -> Tuple[inspect.Parameter, ...]:
+        # Computed once per entry: every create() checks each parameter
+        # against it, so sweeps would otherwise re-inspect per repetition.
         try:
             signature = inspect.signature(self.factory)
         except (TypeError, ValueError):  # builtins / C callables

@@ -178,13 +178,16 @@ class Scheduler:
     def _claim_cells(
         self, job: Job, plan: ExperimentPlan
     ) -> Dict[int, Tuple["asyncio.Future", bool]]:
-        """Claim every pending cell, dispatching vectorizable groups whole.
+        """Claim every pending cell and dispatch it as a group payload.
 
         Plan order is spec-major, so consecutive grouping recovers each grid
         cell's pending repetitions.  The repetitions of a group that are not
         already claimed by an in-flight execution (a sibling job's cell —
-        those coalesce exactly as before) go to the pool as *one* batch
-        payload when the scenario vectorizes, and cell by cell otherwise.
+        those coalesce instead) go to the pool as *one* payload when the
+        scenario vectorizes, and as one single-repetition payload per cell
+        otherwise — the split :func:`repro.api.group_payloads` makes for
+        ``RunSet`` workers.  The worker's :func:`repro.api.execute_group`
+        picks the engine either way.
         """
         loop = asyncio.get_running_loop()
         claims: Dict[int, Tuple["asyncio.Future", bool]] = {}
@@ -211,58 +214,28 @@ class Scheduler:
                 fresh.append((execution, cell))
             if not fresh:
                 continue
-            # Pools predating run_group (third-party stubs) degrade to the
-            # per-cell path instead of failing every claimed cell.
-            if vectorizable_group(spec, len(fresh)) and hasattr(
-                self.pool, "run_group"
-            ):
+            if vectorizable_group(spec, len(fresh)):
                 loop.create_task(self._run_group_execution(spec, fresh))
             else:
-                for execution, cell in fresh:
-                    loop.create_task(self._run_execution(execution, cell))
+                for entry in fresh:
+                    loop.create_task(self._run_group_execution(spec, [entry]))
         return claims
-
-    async def _run_execution(self, execution: _Execution, cell: PlanCell) -> None:
-        """Run one physical cell on the pool, persist, resolve, un-claim.
-
-        The future resolves in-band — ``("ok", record, meta)`` or
-        ``("error", message)`` — so a job that stops early never leaves an
-        unretrieved exception behind.  Between the pool returning and the
-        future resolving there is no ``await``: a submit arriving while
-        the record is persisted either still finds this execution in the
-        table (and coalesces) or plans after the un-claim and finds the
-        record in the store (and is cached).  Either way it never re-runs.
-        """
-        spec, repetition = cell.spec, cell.repetition
-        payload = (spec.to_json(), repetition, self.extensions, self.collect_timings)
-        try:
-            record, meta = await self.pool.run(payload)
-        except Exception as error:  # worker death, unpicklable spec, ...
-            logger.error(
-                "execution failed: %s repetition %d: %s",
-                spec.label, repetition, error,
-            )
-            self._executions.pop(execution.key, None)
-            execution.future.set_result(("error", f"{type(error).__name__}: {error}"))
-            return
-        # replace=True supersedes stale-schema/stale-cap occupants of the
-        # identity; the per-record manifest save is what lets a plan built
-        # right after this see the record.
-        self.store.add([record], replace=True)
-        self._executions.pop(execution.key, None)
-        execution.future.set_result(("ok", record, meta))
 
     async def _run_group_execution(
         self, spec: ScenarioSpec, entries: List[Tuple[_Execution, PlanCell]]
     ) -> None:
-        """Run one batch group on the pool, then settle each cell in turn.
+        """Run one group payload on the pool, persist, resolve, un-claim.
 
-        One worker task executes all repetitions of the group as lockstep
-        lanes of a single batch kernel; the outcome list comes back in
-        repetition order and each cell keeps the exactly-once semantics of
-        :meth:`_run_execution` — persist, resolve, un-claim per record, with
-        no ``await`` in between.  A group failure fails every claimed cell
-        (they shared the one physical execution).
+        The outcome list comes back in repetition order.  Each cell's
+        future resolves in-band — ``("ok", record, meta)`` or
+        ``("error", message)`` — so a job that stops early never leaves an
+        unretrieved exception behind.  Between the pool returning and the
+        futures resolving there is no ``await``: a submit arriving while a
+        record is persisted either still finds its execution in the table
+        (and coalesces) or plans after the un-claim and finds the record in
+        the store (and is cached).  Either way it never re-runs.  A group
+        failure fails every claimed cell (they shared the one physical
+        execution).
         """
         payload = (
             spec.to_json(),
@@ -274,7 +247,7 @@ class Scheduler:
             outcomes = await self.pool.run_group(payload)
         except Exception as error:  # worker death, unpicklable spec, ...
             logger.error(
-                "batch group execution failed: %s x%d: %s",
+                "execution failed: %s x%d: %s",
                 spec.label, len(entries), error,
             )
             message = f"{type(error).__name__}: {error}"
@@ -283,6 +256,9 @@ class Scheduler:
                 execution.future.set_result(("error", message))
             return
         for (execution, _), (record, meta) in zip(entries, outcomes):
+            # replace=True supersedes stale-schema/stale-cap occupants of
+            # the identity; the per-record manifest save is what lets a
+            # plan built right after this see the record.
             self.store.add([record], replace=True)
             self._executions.pop(execution.key, None)
             execution.future.set_result(("ok", record, meta))

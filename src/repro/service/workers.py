@@ -6,13 +6,12 @@ single-thread :class:`~concurrent.futures.ThreadPoolExecutor`, which
 keeps execution in-process — the mode the test suite uses to exercise the
 full submit/coalesce/persist path without forking.
 
-Cells travel as the same picklable payload tuples the parallel
+Cells travel as the same picklable group payloads the parallel
 :class:`~repro.api.RunSet` path ships to ``multiprocessing.Pool``:
-``(spec_json, repetition, extension_modules, collect_timings)`` executed
-by :func:`repro.api.execute_cell_payload`, and whole batch groups as
 ``(spec_json, repetitions, extension_modules, collect_timings)`` executed
-by :func:`repro.api.execute_group_payload` — one vectorized batch-kernel
-pass per worker task.
+by :func:`repro.api.execute_group_payload`, which picks the engine.  A
+vectorizable group is one payload (one batch-kernel pass per worker task);
+every other cell is a one-repetition payload of its own.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, List, Tuple
 
-from repro.api import execute_cell_payload, execute_group_payload
+from repro.api import GroupPayload, execute_group_payload
 from repro.utils.validation import ConfigurationError
 
 __all__ = ["WorkerPool"]
 
-#: (record, meta) as returned by repro.api.execute_cell.
+#: (record, meta) as returned by repro.api.execute_group.
 CellOutcome = Tuple[Dict[str, Any], Dict[str, Any]]
 
 
@@ -69,23 +68,11 @@ class WorkerPool:
             for future in futures:
                 future.result()
 
-    async def run(
-        self, payload: Tuple[str, int, Tuple[str, ...], bool]
-    ) -> CellOutcome:
-        """Execute one cell payload on the pool and await its outcome."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, execute_cell_payload, payload
-        )
-
-    async def run_group(
-        self, payload: Tuple[str, Tuple[int, ...], Tuple[str, ...], bool]
-    ) -> List[CellOutcome]:
-        """Execute one batch-group payload on the pool and await its outcomes.
+    async def run_group(self, payload: GroupPayload) -> List[CellOutcome]:
+        """Execute one group payload on the pool and await its outcomes.
 
         The outcome list is in the payload's repetition order — one
-        ``(record, meta)`` per repetition, exactly as if each cell had been
-        shipped through :meth:`run` individually.
+        ``(record, meta)`` per repetition.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(

@@ -21,6 +21,7 @@ from repro.dynamics.generators import (
     static_complete_schedule,
     static_path_schedule,
 )
+from repro.scenarios import ADVERSARY_REGISTRY, PROBLEM_REGISTRY, ScenarioSpec
 
 
 @pytest.fixture
@@ -73,3 +74,60 @@ def path_edges(num_nodes: int):
 def star_edges(num_nodes: int, center: int = 0):
     """Edges of the star centred at ``center``."""
     return [(center, i) for i in range(num_nodes) if i != center]
+
+
+#: Problems each algorithm is drawn with; the rest accept all four.
+_PROBLEMS_FOR_ALGORITHM = {
+    "single-source": ("single-source",),
+    "spanning-tree": ("single-source",),
+    "multi-source": ("multi-source", "n-gossip"),
+    "oblivious": ("multi-source", "n-gossip"),
+}
+
+
+def adversary_params_for(adversary: str, num_nodes: int):
+    """``{"num_nodes": n}`` for adversaries that require it, else ``{}``."""
+    needs_nodes = any(
+        info.name == "num_nodes" and info.required
+        for info in ADVERSARY_REGISTRY.get(adversary).parameters()
+    )
+    return {"num_nodes": num_nodes} if needs_nodes else {}
+
+
+def random_spec(
+    rng: random.Random,
+    *,
+    algorithms,
+    adversaries,
+    max_tokens: int = 16,
+    max_rounds=300,
+    repetitions: int = 1,
+):
+    """Draw one seeded scenario for the randomized differential tests.
+
+    The problem is one the drawn algorithm accepts, sizes are uniform in
+    ``[1, 14]`` and ``[1, max_tokens]`` (n-gossip fixes ``k = n``) and
+    schedule adversaries get the ``num_nodes`` they require.
+    """
+    algorithm = rng.choice(algorithms)
+    problem = rng.choice(
+        _PROBLEMS_FOR_ALGORITHM.get(algorithm, PROBLEM_REGISTRY.names())
+    )
+    adversary = rng.choice(adversaries)
+    num_nodes = rng.randint(1, 14)
+    num_tokens = rng.randint(1, max_tokens)
+    problem_params = {"num_nodes": num_nodes}
+    if problem != "n-gossip":
+        problem_params["num_tokens"] = num_tokens
+    if problem == "multi-source":
+        problem_params["num_sources"] = rng.randint(1, min(num_nodes, num_tokens))
+    return ScenarioSpec(
+        problem=problem,
+        problem_params=problem_params,
+        algorithm=algorithm,
+        adversary=adversary,
+        adversary_params=adversary_params_for(adversary, num_nodes),
+        seed=rng.randrange(2**31),
+        repetitions=repetitions,
+        max_rounds=max_rounds,
+    )

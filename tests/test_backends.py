@@ -1,6 +1,7 @@
 """Tests for the pluggable execution backends and the differential harness."""
 
 import json
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.adversaries.lower_bound import LowerBoundAdversary
 from repro.adversaries.oblivious import ControlledChurnAdversary
 from repro.scenarios import ScenarioSpec, repetition_seed, run_scenario, run_spec, sweep
 from repro.utils.validation import ConfigurationError, SimulationError
+from tests.conftest import random_spec
 
 
 def bitset_spec(**overrides):
@@ -299,6 +301,21 @@ class TestBackendEquivalence:
         adversaries = {spec.adversary for spec in default_differential_specs()}
         # Both adversary classes are exercised.
         assert {"request-cutting", "star-recenter", "adaptive-rewiring", "lower-bound"} <= adversaries
+
+    def test_randomized_specs_pass(self):
+        """Seeded random draws beyond the fixed grid: any algorithm, any
+        adversary, n in [1, 14], k in [1, 16]."""
+        from repro.scenarios import ADVERSARY_REGISTRY, ALGORITHM_REGISTRY
+
+        rng = random.Random(20261017)
+        for _ in range(60):
+            spec = random_spec(
+                rng,
+                algorithms=ALGORITHM_REGISTRY.names(),
+                adversaries=ADVERSARY_REGISTRY.names(),
+            )
+            report = validate_backends([spec], candidate="bitset")
+            assert report.passed, spec.to_json()
 
     def test_spec_records_are_identical_across_backends(self):
         spec = bitset_spec(repetitions=2)

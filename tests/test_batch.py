@@ -7,14 +7,17 @@ skip machinery on adversary stages, and the end-to-end contract — records
 produced by the batch kernel are field-identical to serial execution,
 whether reached through :meth:`BatchBackend.run_batch`, the differential
 harness, or the fluent :class:`~repro.api.Experiment` pipeline's automatic
-dispatch.
+dispatch — and the engine :func:`~repro.api.execute_group` picks for a
+sweep cell.
 """
+
+import random
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.api import Experiment
+from repro.api import Experiment, execute_cell, execute_group
 from repro.backends import BatchBackend, get_backend
 from repro.backends.differential import validate_backends
 from repro.batch.backend import can_vectorize_spec
@@ -33,6 +36,7 @@ from repro.scenarios import ScenarioSpec, run_spec
 from repro.scenarios.registry import ADVERSARY_REGISTRY
 from repro.scenarios.runner import record_from_result, repetition_seed
 from repro.utils.validation import ConfigurationError
+from tests.conftest import adversary_params_for, random_spec
 
 
 def flooding_spec(**overrides):
@@ -252,34 +256,24 @@ class TestBatchIdentity:
         ]
         assert batch == serial
 
-    def test_single_source_vectorized_records_match_serial(self):
-        """The single-source batch program replays the fast program per lane.
+    def test_single_source_groups_run_on_bitset(self):
+        """Single-source has no batch program: its groups run on bitset.
 
-        churn keeps inserting/removing edges every round, so the per-lane
-        edge histories (the new > idle > contributive request priority) are
-        exercised; the steady static adversary exercises the
-        stages_advanced guard (stale stage inserted_ids after the steady
-        round must not be re-consumed).
+        churn keeps inserting/removing edges every round, so the per-edge
+        histories (the new > idle > contributive request priority) are
+        exercised; the static adversary goes steady after round one.
         """
         for adversary, params in (("churn", {}), ("static-random", {"num_nodes": 10})):
-            spec = flooding_spec(
-                problem_params={"num_nodes": 10, "num_tokens": 8},
-                algorithm="single-source",
-                algorithm_params={},
-                adversary=adversary,
-                adversary_params=params,
-                seed=7,
-            )
-            assert can_vectorize_spec(spec)
-            serial = run_spec(spec)
-            results = BatchBackend().run_batch(spec)
-            batch = [
-                record_from_result(
-                    spec, repetition, repetition_seed(spec, repetition), result
+            assert_group_runs_on_bitset(
+                flooding_spec(
+                    problem_params={"num_nodes": 10, "num_tokens": 8},
+                    algorithm="single-source",
+                    algorithm_params={},
+                    adversary=adversary,
+                    adversary_params=params,
+                    seed=7,
                 )
-                for repetition, result in enumerate(results)
-            ]
-            assert batch == serial, adversary
+            )
 
     def test_fallback_records_match_serial(self):
         spec = adaptive_spec()
@@ -360,6 +354,57 @@ class TestExperimentAutoBatching:
         assert len(plan.cached) == 6
 
 
+class TestEngineChoice:
+    """``execute_group`` picks a sweep cell's engine; ``execute_cell`` never does."""
+
+    def test_a_named_backend_runs_as_named(self):
+        spec = adaptive_spec(backend="batch")
+        outcomes = execute_group(spec, [0, 1, 2])
+        assert [meta["backend"] for _, meta in outcomes] == ["batch"] * 3
+        assert [record for record, _ in outcomes] == run_spec(spec)
+
+    def test_execute_cell_runs_the_spec_backend(self):
+        spec = adaptive_spec()
+        record, meta = execute_cell(spec, 1)
+        assert meta["backend"] == "reference"
+        assert record == run_spec(spec)[1]
+
+    def test_randomized_bulk_groups_match_serial(self):
+        """Seeded draws of the three bulk programs under oblivious
+        adversaries; k up to 140 spans multi-word token masks."""
+        oblivious = [
+            name
+            for name in ADVERSARY_REGISTRY.names()
+            if ADVERSARY_REGISTRY.create(name, **adversary_params_for(name, 6)).oblivious
+        ]
+        rng = random.Random(20261017)
+        for _ in range(12):
+            spec = random_spec(
+                rng,
+                algorithms=["flooding", "naive-unicast", "one-shot-flooding"],
+                adversaries=oblivious,
+                max_tokens=140,
+                max_rounds=rng.choice([None, 40, 300]),
+                repetitions=rng.randint(2, 6),
+            )
+            outcomes = execute_group(spec, list(range(spec.repetitions)))
+            assert all(meta["backend"] == "batch" for _, meta in outcomes)
+            assert [record for record, _ in outcomes] == run_spec(spec), spec.to_json()
+
+
+def assert_group_runs_on_bitset(spec):
+    """A default-backend group that does not vectorize runs on bitset.
+
+    Its records equal the reference engine's and keep the caller's spec.
+    """
+    assert spec.backend == "reference"
+    assert not can_vectorize_spec(spec), spec.algorithm
+    outcomes = execute_group(spec, list(range(spec.repetitions)))
+    assert [record for record, _ in outcomes] == run_spec(spec), spec.label
+    assert all(meta["backend"] == "bitset" for _, meta in outcomes)
+    assert all(record["spec"]["backend"] == "reference" for record, _ in outcomes)
+
+
 def assert_batch_matches_serial(spec):
     """Run ``spec`` both ways and require field-identical records."""
     assert can_vectorize_spec(spec), spec.algorithm
@@ -373,13 +418,14 @@ def assert_batch_matches_serial(spec):
 
 
 class TestFullGridIdentity:
-    """Per-round lockstep identity for the programs added to the grid.
+    """Sweep groups match serial execution across the algorithm grid.
 
-    Every registered algorithm now ships a batch program; these tests pin
-    the per-lane replay programs (multi-source, oblivious two-phase) and
-    the bulk-vectorized rewrites (one-shot-flooding, naive-unicast) to the
-    serial bitset kernel, field for field — rounds, message statistics,
-    event order, completion — under both churning and steady topologies.
+    The bulk batch programs (one-shot-flooding, naive-unicast) are pinned
+    to the serial bitset kernel, field for field — rounds, message
+    statistics, event order, completion — under both churning and steady
+    topologies.  Multi-source and the oblivious two-phase algorithm have
+    no batch program: their groups run on bitset and must match the
+    reference engine.
     """
 
     def multi_source_spec(self, **overrides):
@@ -396,18 +442,18 @@ class TestFullGridIdentity:
         fields.update(overrides)
         return ScenarioSpec(**fields)
 
-    def test_multi_source_batch_program_matches_serial(self):
+    def test_multi_source_groups_run_on_bitset(self):
         for adversary, params in (
             ("churn", {"changes_per_round": 2}),
             ("static-random", {"num_nodes": 10}),
         ):
-            assert_batch_matches_serial(
+            assert_group_runs_on_bitset(
                 self.multi_source_spec(adversary=adversary, adversary_params=params)
             )
 
     def test_oblivious_two_phase_matches_serial(self):
-        """Real phase 1: every lane walks its own RNG-driven random walks."""
-        assert_batch_matches_serial(
+        """Real phase 1: every repetition walks its own random walks."""
+        assert_group_runs_on_bitset(
             self.multi_source_spec(
                 algorithm="oblivious",
                 algorithm_params={"force_two_phase": True},
@@ -416,8 +462,8 @@ class TestFullGridIdentity:
         )
 
     def test_oblivious_phase_skip_matches_serial(self):
-        """Below-threshold regime: phase 1 skipped, machines active from setup."""
-        assert_batch_matches_serial(
+        """Below-threshold regime: phase 1 skipped, phase 2 from setup."""
+        assert_group_runs_on_bitset(
             self.multi_source_spec(
                 algorithm="oblivious",
                 algorithm_params={"force_two_phase": False},
@@ -427,7 +473,7 @@ class TestFullGridIdentity:
 
     def test_oblivious_phase1_round_limit_matches_serial(self):
         """The force-delivery safeguard (limit expiry) must match serially."""
-        assert_batch_matches_serial(
+        assert_group_runs_on_bitset(
             self.multi_source_spec(
                 algorithm="oblivious",
                 algorithm_params={"force_two_phase": True, "phase1_round_limit": 3},
@@ -475,11 +521,14 @@ class TestFullGridIdentity:
                 )
             )
 
-    def test_every_registered_algorithm_has_a_batch_program(self):
+    def test_only_the_bulk_algorithms_have_batch_programs(self):
         from repro.batch.backend import batch_program_names
-        from repro.scenarios.registry import ALGORITHM_REGISTRY
 
-        assert batch_program_names() == sorted(ALGORITHM_REGISTRY.names())
+        assert batch_program_names() == [
+            "flooding",
+            "naive-unicast",
+            "one-shot-flooding",
+        ]
 
 
 class TestBatchSpeedupGate:
@@ -496,11 +545,11 @@ class TestBatchSpeedupGate:
 
         entries = [
             self.entry("sweep-flooding-n128", "flooding", 128, 4.0),
-            self.entry("sweep-oblivious-n8", "oblivious", 8, 0.91),
+            self.entry("sweep-one-shot-n64", "one-shot-flooding", 64, 0.91),
         ]
         passed, message = batch_speedup_gate(entries, 3.0)
         assert not passed
-        assert "sweep-oblivious-n8" in message
+        assert "sweep-one-shot-n64" in message
         assert "0.91" in message
 
     def test_worst_offender_is_reported(self):
@@ -508,20 +557,20 @@ class TestBatchSpeedupGate:
 
         entries = [
             self.entry("sweep-flooding-n128", "flooding", 128, 4.0),
-            self.entry("sweep-multi-source-n12", "multi-source", 12, 0.97),
-            self.entry("sweep-oblivious-n8", "oblivious", 8, 0.85),
+            self.entry("sweep-naive-unicast-n32", "naive-unicast", 32, 0.97),
+            self.entry("sweep-one-shot-n64", "one-shot-flooding", 64, 0.85),
         ]
         passed, message = batch_speedup_gate(entries, 3.0)
         assert not passed
         assert "2 of 3 entries" in message
-        assert "sweep-oblivious-n8" in message
+        assert "sweep-one-shot-n64" in message
 
     def test_flooding_floor_still_applies(self):
         from repro.benchmark import batch_speedup_gate
 
         entries = [
             self.entry("sweep-flooding-n128", "flooding", 128, 2.5),
-            self.entry("sweep-oblivious-n8", "oblivious", 8, 1.1),
+            self.entry("sweep-one-shot-n64", "one-shot-flooding", 64, 1.1),
         ]
         passed, message = batch_speedup_gate(entries, 3.0)
         assert not passed
@@ -533,7 +582,7 @@ class TestBatchSpeedupGate:
         entries = [
             self.entry("sweep-flooding-n64", "flooding", 64, 3.2),
             self.entry("sweep-flooding-n128", "flooding", 128, 4.1),
-            self.entry("sweep-oblivious-n8", "oblivious", 8, 1.1),
+            self.entry("sweep-one-shot-n64", "one-shot-flooding", 64, 1.1),
         ]
         passed, message = batch_speedup_gate(entries, 3.0)
         assert passed

@@ -174,9 +174,11 @@ class TestListCommand:
             "algorithms", "adversaries", "problems", "backends",
             "bitset_fast_paths", "batch_programs",
         }
-        assert payload["batch_programs"] == sorted(
-            entry["name"] for entry in payload["algorithms"]
-        )
+        assert payload["batch_programs"] == [
+            "flooding",
+            "naive-unicast",
+            "one-shot-flooding",
+        ]
         names = {entry["name"] for entry in payload["algorithms"]}
         assert "flooding" in names
         backend_names = {entry["name"] for entry in payload["backends"]}

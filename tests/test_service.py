@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import execute_cell_payload, execute_group_payload
+from repro.api import execute_group_payload
 from repro.obs.events import (
     CellCached,
     CellCompleted,
@@ -206,11 +206,6 @@ class GatedPool:
         self.gate = asyncio.Event()
         self.calls = []
 
-    async def run(self, payload):
-        await self.gate.wait()
-        self.calls.append(payload)
-        return execute_cell_payload(payload)
-
     async def run_group(self, payload):
         await self.gate.wait()
         self.calls.append(payload)
@@ -218,11 +213,8 @@ class GatedPool:
 
     @property
     def executed_cells(self) -> int:
-        """Physical cells run so far, across single and group payloads."""
-        return sum(
-            len(reps) if isinstance(reps, tuple) else 1
-            for _, reps, _, _ in self.calls
-        )
+        """Physical cells run so far, summed over the group payloads."""
+        return sum(len(reps) for _, reps, _, _ in self.calls)
 
     def shutdown(self, wait: bool = True) -> None:
         pass
@@ -257,6 +249,34 @@ class TestSchedulerCoalescing:
         # The coalesced job streams CellCached for every cell.
         kinds = [event["event"] for event in job_b.events]
         assert kinds == ["cell_cached"] * cells + ["run_finished"]
+
+    def test_non_vectorizable_cells_travel_one_per_payload_on_bitset(self, tmp_path):
+        specs = sweep_specs(
+            algorithm="single-source",
+            algorithm_params={},
+            adversary="churn",
+            adversary_params={"changes_per_round": 2},
+            repetitions=3,
+        )
+
+        async def scenario():
+            pool = GatedPool()
+            scheduler = Scheduler(str(tmp_path / "store"), pool)
+            job = scheduler.submit(specs)
+            pool.gate.set()
+            await scheduler.drain()
+            return pool, job
+
+        pool, job = asyncio.run(scenario())
+        cells = len(job.plan.cells)
+        assert job.state == "done" and job.executed == cells
+        # No batch program: every cell is its own one-repetition payload.
+        assert len(pool.calls) == cells
+        assert all(len(reps) == 1 for _, reps, _, _ in pool.calls)
+        completed = [e for e in job.events if e["event"] == "cell_completed"]
+        assert [e["backend"] for e in completed] == ["bitset"] * cells
+        expected = [record for spec in specs for record in run_spec(spec)]
+        assert job.records == expected
 
     def test_draining_scheduler_rejects_submissions(self, tmp_path):
         async def scenario():

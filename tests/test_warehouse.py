@@ -526,15 +526,12 @@ class TestSchedulerIndex:
     def test_scheduler_creates_and_warms_the_index(self, tmp_path):
         import asyncio
 
-        from repro.api import execute_cell_payload, execute_group_payload
+        from repro.api import execute_group_payload
         from repro.service.scheduler import Scheduler
 
         store_path = str(tmp_path / "service-store")
 
         class InlinePool:
-            async def run(self, payload):
-                return execute_cell_payload(payload)
-
             async def run_group(self, payload):
                 return execute_group_payload(payload)
 
