@@ -24,11 +24,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.experiments import fit_power_law
 from repro.analysis.reporting import format_table
+from repro.core.engine import run_execution
 from repro.core.problem import DisseminationProblem
 from repro.core.result import ExecutionResult
 from repro.results import RunStore
 from repro.scenarios import ScenarioSpec, run_scenario
-from repro.scenarios.runner import execute, record_from_result, repetition_seed
+from repro.scenarios.runner import record_from_result, repetition_seed
 
 #: Environment variable naming the benchmark run-store directory.
 BENCH_STORE_ENV = "REPRO_BENCH_STORE"
@@ -76,7 +77,7 @@ def run_once(
 ) -> ExecutionResult:
     """Run a single execution from factories (for components the registries
     cannot express, e.g. adversaries replaying a precomputed schedule)."""
-    return execute(
+    return run_execution(
         problem_factory(),
         algorithm_factory(),
         adversary_factory(),

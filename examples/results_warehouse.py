@@ -4,7 +4,7 @@
 This example closes the loop the Scenario API opens.  PR-style pipeline:
 
 1. a parameter sweep is expanded into :class:`repro.ScenarioSpec` objects
-   and executed with the parallel-capable :class:`repro.ScenarioRunner`;
+   and executed with the parallel-capable :class:`repro.Experiment`;
 2. the emitted records are merged into an on-disk :class:`repro.RunStore`
    (idempotent: merging the same sweep twice changes nothing);
 3. the store is queried and aggregated with bootstrap confidence intervals;
@@ -27,7 +27,7 @@ Run with::
 
 import tempfile
 
-from repro import ScenarioRunner, ScenarioSpec, sweep
+from repro import Experiment, ScenarioSpec, sweep
 from repro.results import (
     RunStore,
     aggregate,
@@ -53,12 +53,12 @@ def main(num_repetitions: int = 3) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = RunStore(f"{tmp}/warehouse")
 
-        records = ScenarioRunner().run(specs)
+        records = Experiment.from_specs(specs).run().records()
         added, skipped = store.add(records)
         print(f"first merge : {added} added, {skipped} skipped")
 
         # Idempotence: re-running the identical sweep adds nothing.
-        added, skipped = store.add(ScenarioRunner().run(specs))
+        added, skipped = store.add(Experiment.from_specs(specs).run().records())
         print(f"second merge: {added} added, {skipped} skipped")
 
         rows = aggregate(store.records(), group_by=("algorithm", "n"))

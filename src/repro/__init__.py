@@ -21,8 +21,8 @@ Quickstart::
     ).run()
     print(result.total_messages, result.amortized_adversary_competitive_messages())
 
-Or declaratively, through the Scenario API (registries + serializable specs
-+ a parallel batch runner)::
+Or declaratively, through the Scenario API (registries + serializable
+specs)::
 
     from repro import ScenarioSpec, run_scenario
 
@@ -125,7 +125,6 @@ from repro.scenarios import (
     ADVERSARY_REGISTRY,
     ALGORITHM_REGISTRY,
     PROBLEM_REGISTRY,
-    ScenarioRunner,
     ScenarioSpec,
     materialize,
     register_adversary,
@@ -144,10 +143,7 @@ from repro.results import (
     render_report,
 )
 from repro.analysis import (
-    ExperimentRecord,
-    ExperimentRunner,
     PotentialTracker,
-    aggregate_records,
     fit_power_law,
     flooding_amortized_upper_bound,
     format_table,
@@ -252,7 +248,6 @@ __all__ = [
     "ADVERSARY_REGISTRY",
     "ALGORITHM_REGISTRY",
     "PROBLEM_REGISTRY",
-    "ScenarioRunner",
     "ScenarioSpec",
     "materialize",
     "register_adversary",
@@ -269,10 +264,7 @@ __all__ = [
     "register_bound",
     "render_report",
     # analysis
-    "ExperimentRecord",
-    "ExperimentRunner",
     "PotentialTracker",
-    "aggregate_records",
     "fit_power_law",
     "flooding_amortized_upper_bound",
     "format_table",

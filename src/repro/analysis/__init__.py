@@ -1,4 +1,4 @@
-"""Analysis tools: closed-form bounds, potential tracking, experiments, reports.
+"""Analysis tools: closed-form bounds, potential tracking, scaling fits, reports.
 
 This package turns raw :class:`~repro.core.result.ExecutionResult` objects
 into the quantities the paper reports:
@@ -7,8 +7,8 @@ into the quantities the paper reports:
   stated in the paper (Theorems 2.3, 3.1, 3.4, 3.5, 3.6, 3.8 and Table 1);
 * :mod:`repro.analysis.potential` — the potential function ``Φ(t)`` of the
   Section-2 lower-bound argument;
-* :mod:`repro.analysis.experiments` — a small experiment runner with
-  parameter sweeps, repetition handling and power-law fitting;
+* :mod:`repro.analysis.experiments` — power-law fitting of measured
+  scaling series;
 * :mod:`repro.analysis.reporting` — plain-text table renderers used by the
   benchmark harnesses and EXPERIMENTS.md.
 """
@@ -28,17 +28,10 @@ from repro.analysis.bounds import (
     single_source_round_bound,
 )
 from repro.analysis.potential import PotentialTracker, potential_of_knowledge
-from repro.analysis.experiments import (
-    ExperimentRecord,
-    ExperimentRunner,
-    aggregate_records,
-    fit_power_law,
-    scaling_exponent,
-)
+from repro.analysis.experiments import fit_power_law, scaling_exponent
 from repro.analysis.reporting import (
     format_table,
     render_table1,
-    render_records,
     render_paper_vs_measured,
 )
 
@@ -57,13 +50,9 @@ __all__ = [
     "single_source_round_bound",
     "PotentialTracker",
     "potential_of_knowledge",
-    "ExperimentRecord",
-    "ExperimentRunner",
-    "aggregate_records",
     "fit_power_law",
     "scaling_exponent",
     "format_table",
     "render_table1",
-    "render_records",
     "render_paper_vs_measured",
 ]

@@ -7,10 +7,9 @@ the benchmark harnesses can print them directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.analysis.bounds import table1_rows
-from repro.analysis.experiments import ExperimentRecord
 from repro.utils.validation import ConfigurationError
 
 
@@ -58,25 +57,6 @@ def render_table1(num_nodes: int) -> str:
             [row.label, f"O({row.paper_expression})", row.amortized_bound] for row in rows
         ],
     )
-
-
-def render_records(
-    records: Iterable[ExperimentRecord],
-    columns: Sequence[str],
-) -> str:
-    """Render experiment records, pulling each column from params or the record fields."""
-    rows: List[List[object]] = []
-    for record in records:
-        row: List[object] = []
-        for column in columns:
-            if column in record.params:
-                row.append(record.params[column])
-            elif hasattr(record, column):
-                row.append(getattr(record, column))
-            else:
-                row.append("")
-        rows.append(row)
-    return format_table(columns, rows)
 
 
 def render_aggregates(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> str:

@@ -84,7 +84,7 @@ from repro.obs.logs import get_logger
 from repro.results.aggregate import (
     DEFAULT_GROUP_BY,
     DEFAULT_METRICS,
-    aggregate as _aggregate_records,
+    aggregate as _aggregate,
     aggregate_columns,
 )
 from repro.results.compare import compare_to_bounds
@@ -764,6 +764,24 @@ def group_payloads(
     return payloads
 
 
+def _cell_completed(
+    index: int, total: int, cell: PlanCell, record: Record, meta: CellMeta
+) -> CellCompleted:
+    """The ``CellCompleted`` event of one freshly executed plan cell."""
+    return CellCompleted(
+        index=index,
+        total=total,
+        scenario=cell.spec.label,
+        repetition=cell.repetition,
+        backend=meta["backend"],
+        seconds=meta["seconds"],
+        completed=record["completed"],
+        rounds=record["rounds"],
+        total_messages=record["total_messages"],
+        stage_seconds=meta["stage_seconds"],
+    )
+
+
 class RunSet:
     """The (lazily produced) records of one experiment run.
 
@@ -941,20 +959,7 @@ class RunSet:
                     )
                     self._stored += added
                 if observers:
-                    self._notify(
-                        CellCompleted(
-                            index=index,
-                            total=total,
-                            scenario=cell.spec.label,
-                            repetition=cell.repetition,
-                            backend=meta["backend"],
-                            seconds=meta["seconds"],
-                            completed=record["completed"],
-                            rounds=record["rounds"],
-                            total_messages=record["total_messages"],
-                            stage_seconds=meta["stage_seconds"],
-                        )
-                    )
+                    self._notify(_cell_completed(index, total, cell, record, meta))
             self._collected.append(record)
             yield record
 
@@ -1056,7 +1061,7 @@ class Aggregate:
     def rows(self) -> List[Dict[str, Any]]:
         """One summary row per group (mean/median/stddev/CI per metric)."""
         if self._rows is None:
-            self._rows = _aggregate_records(self._records, self._group_by, self._metrics)
+            self._rows = _aggregate(self._records, self._group_by, self._metrics)
         return list(self._rows)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:

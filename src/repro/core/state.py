@@ -10,25 +10,27 @@ state behind one interface with two observable layers:
   ``learn_index`` over dense node/token indices; tokens are indexed in
   sorted order, so bit ``i`` always means the ``i``-th smallest token).
 
-Three implementations ship:
+Two implementations ship:
 
 * :class:`MappingKnowledgeState` — the reference dict-of-sets representation
   (exactly what :class:`~repro.algorithms.base.TokenForwardingAlgorithm`
   historically stored inline);
 * :class:`BitsetKnowledgeState` — one Python integer per node (promoted out
   of the old ``backends/bitset.py``), where ``knows`` is a bit test and a
-  whole neighbourhood learns a token with a handful of mask operations;
-* :class:`BatchKnowledgeState` — a ``numpy.bool_`` array of shape
-  ``(lanes, n, k)`` holding the knowledge of many independently seeded
-  repetitions (*lanes*) of the same problem at once.  The batch backend
-  (:mod:`repro.batch`) steps all lanes in lockstep; the per-lane protocol
-  methods make any single lane look like an ordinary knowledge state.
+  whole neighbourhood learns a token with a handful of mask operations.
 
-All maintain the same derived quantities (per-node missing counts, the
+Both maintain the same derived quantities (per-node missing counts, the
 number of incomplete nodes, the buffered token-learning events the kernel
 drains into the :class:`~repro.core.events.EventLog`), so an algorithm — or
 a kernel program — behaves identically on either: the representation is an
 execution detail, never semantics.
+
+:class:`BatchKnowledgeState` is not a :class:`KnowledgeState`: it is a
+``numpy.bool_`` array of shape ``(lanes, n, k)`` holding the knowledge of
+many independently seeded repetitions (*lanes*) of the same problem at
+once, with bulk operations only.  The batch backend (:mod:`repro.batch`)
+steps all lanes in lockstep and drains each lane's learnings into its own
+event log.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.core.events import SEG_COLUMN, SEG_TRIPLES, column_segment
+from repro.core.events import SEG_TRIPLES, column_segment
 
 from repro.core.problem import DisseminationProblem
 from repro.core.tokens import Token
@@ -333,22 +335,19 @@ class BitsetKnowledgeState(KnowledgeState):
         return mask
 
 
-class BatchKnowledgeState(KnowledgeState):
+class BatchKnowledgeState:
     """Knowledge of ``lanes`` repetitions as one ``(lanes, n, k)`` bool array.
 
     Every lane starts from the same problem (per-repetition seeds only
     diverge the adversary and algorithm randomness, never the initial token
     placement), so the constructor broadcasts the initial knowledge across
-    the lane axis.  Two layers of access:
-
-    * the **per-lane protocol**: :meth:`select_lane` picks the active lane,
-      after which the full :class:`KnowledgeState` interface (``knows``,
-      ``learn_index``, ``know_mask``, ...) reads and writes that lane only —
-      per-lane program bodies run unchanged against a batch state;
-    * **bulk operations** used by the vectorized batch programs:
-      :meth:`holders_column` (a ``(lanes, n)`` view of one token's holders),
-      :meth:`learn_token_bulk` (a whole learner matrix in one shot) and
-      :meth:`completed_lanes`.
+    the lane axis.  Nodes and tokens are indexed in sorted order, as in a
+    :class:`KnowledgeState`.  The vectorized batch programs read :attr:`know`
+    and :attr:`known_counts` directly and write through the bulk operations:
+    :meth:`holders_column` (a ``(lanes, n)`` view of one token's holders),
+    :meth:`learn_token_bulk` (a whole learner matrix in one shot),
+    :meth:`learn_lane_index` (one learning on one lane) and
+    :meth:`completed_lanes`.
 
     Token-learning events are buffered *per lane* (delivery order within the
     lane), so the batch kernel reconstructs each lane's event log exactly as
@@ -356,19 +355,33 @@ class BatchKnowledgeState(KnowledgeState):
     """
 
     __slots__ = (
+        "nodes",
+        "n",
+        "index_of",
+        "tokens",
+        "k",
+        "token_index",
         "np",
         "lanes",
         "know",
         "known_counts",
         "current_round",
-        "_lane",
         "_lane_pending",
     )
 
     def __init__(self, problem: DisseminationProblem, lanes: int = 1) -> None:
-        super().__init__(problem)
         require_positive_int(lanes, "lanes")
         np = require_numpy("BatchKnowledgeState")
+        self.nodes: Tuple[NodeId, ...] = problem.nodes
+        self.n = len(self.nodes)
+        self.index_of: Dict[NodeId, int] = {
+            node: index for index, node in enumerate(self.nodes)
+        }
+        self.tokens: Tuple[Token, ...] = tuple(sorted(problem.tokens))
+        self.k = len(self.tokens)
+        self.token_index: Dict[Token, int] = {
+            token: index for index, token in enumerate(self.tokens)
+        }
         self.np = np
         self.lanes = lanes
         know = np.zeros((lanes, self.n, self.k), dtype=np.bool_)
@@ -378,7 +391,6 @@ class BatchKnowledgeState(KnowledgeState):
                 know[:, index, token_index[token]] = True
         self.know = know
         self.known_counts = know.sum(axis=2, dtype=np.int64)
-        self._lane = 0
         #: The round stamp applied to buffered learnings; the kernel bumps it
         #: via :meth:`begin_round` so lanes can be drained once per run
         #: instead of once per round.
@@ -392,82 +404,8 @@ class BatchKnowledgeState(KnowledgeState):
         """Stamp all learnings buffered from now on with ``round_index``."""
         self.current_round = round_index
 
-    # -- lane selection ------------------------------------------------------
-
-    @property
-    def lane(self) -> int:
-        """The active lane addressed by the per-lane protocol methods."""
-        return self._lane
-
-    def select_lane(self, lane: int) -> "BatchKnowledgeState":
-        """Make ``lane`` the target of the per-lane protocol methods."""
-        if not 0 <= lane < self.lanes:
-            raise ConfigurationError(f"lane {lane} out of range [0, {self.lanes})")
-        self._lane = lane
-        return self
-
-    # -- object layer (active lane) ------------------------------------------
-
-    def knows(self, node: NodeId, token: Token) -> bool:
-        return bool(
-            self.know[self._lane, self.index_of[node], self.token_index[token]]
-        )
-
-    def known_tokens(self, node: NodeId) -> FrozenSet[Token]:
-        row = self.know[self._lane, self.index_of[node]]
-        tokens = self.tokens
-        return frozenset(tokens[int(index)] for index in self.np.nonzero(row)[0])
-
-    def missing_tokens(self, node: NodeId) -> List[Token]:
-        row = self.know[self._lane, self.index_of[node]]
-        tokens = self.tokens
-        return [tokens[int(index)] for index in self.np.nonzero(~row)[0]]
-
-    def is_node_complete(self, node: NodeId) -> bool:
-        return int(self.known_counts[self._lane, self.index_of[node]]) == self.k
-
-    def all_complete(self) -> bool:
-        return self.incomplete_count() == 0
-
-    def drain_learnings(self) -> List[Tuple[NodeId, Token]]:
-        pairs: List[Tuple[NodeId, Token]] = []
-        for segment in self.drain_lane_segments(self._lane):
-            if segment[0] is SEG_COLUMN:
-                _, _, token, indices, nodes = segment
-                pairs.extend((nodes[index], token) for index in indices)
-            else:
-                pairs.extend((node, token) for _, node, token in segment[1])
-        return pairs
-
-    # -- index layer (active lane) -------------------------------------------
-
-    def learn_index(self, node_index: int, token_bit_index: int) -> bool:
-        return self.learn_lane_index(self._lane, node_index, token_bit_index)
-
-    def know_mask(self, node_index: int) -> int:
-        row = self.know[self._lane, node_index]
-        mask = 0
-        for index in self.np.nonzero(row)[0]:
-            mask |= 1 << int(index)
-        return mask
-
-    def known_count(self, node_index: int) -> int:
-        return int(self.known_counts[self._lane, node_index])
-
-    def incomplete_count(self) -> int:
-        return int((self.known_counts[self._lane] < self.k).sum())
-
-    def holders_mask(self, token_bit_index: int) -> int:
-        column = self.know[self._lane, :, token_bit_index]
-        mask = 0
-        for index in self.np.nonzero(column)[0]:
-            mask |= 1 << int(index)
-        return mask
-
-    # -- bulk layer (all lanes) ----------------------------------------------
-
     def learn_lane_index(self, lane: int, node_index: int, token_bit_index: int) -> bool:
-        """Index-layer learn on an explicit lane; buffers the lane's event."""
+        """Learn one token on one lane; buffers the lane's event."""
         if self.know[lane, node_index, token_bit_index]:
             return False
         self.know[lane, node_index, token_bit_index] = True

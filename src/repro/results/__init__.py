@@ -1,8 +1,8 @@
 """The results warehouse: run records → store → aggregates → paper verdicts.
 
-This package is the back half of the spec-in/records-out architecture.  The
-:class:`~repro.scenarios.runner.ScenarioRunner` emits flat JSONL records;
-here they become first-class:
+This package is the back half of the spec-in/records-out architecture.
+Sweeps (:class:`~repro.api.RunSet`, ``repro sweep``) emit flat JSONL
+records; here they become first-class:
 
 * **records** (:mod:`repro.results.records`) — the typed, schema-versioned
   :class:`RunRecord` with tolerant streaming JSONL reads;

@@ -64,8 +64,7 @@ def bootstrap_ci(
 
 
 def _group_sort_key(key: Tuple[Any, ...]) -> Tuple:
-    # Numbers sort numerically among themselves, everything else as strings,
-    # mirroring analysis.experiments.aggregate_records.
+    # Numbers sort numerically among themselves, everything else as strings.
     return tuple(
         (0, "", part) if isinstance(part, (int, float)) and not isinstance(part, bool)
         else (1, str(part), 0)

@@ -244,7 +244,7 @@ class RunStore:
         """Append new records, skipping known identities.
 
         Returns ``(added, skipped)``.  Accepts both :class:`RunRecord`
-        objects and the plain dictionaries :class:`ScenarioRunner` emits.
+        objects and the plain dictionaries sweeps emit.
         With ``replace=True`` a record whose identity is already present
         but whose **content differs** is appended anyway and supersedes
         the stored one (last-wins on read); identical re-adds still skip.

@@ -7,13 +7,14 @@ layers:
   adversary and problem, with decorator-based extension for third parties;
 * **specs** (:mod:`repro.scenarios.spec`) describe a complete experiment as
   JSON-serializable data, with :func:`sweep` expanding parameter grids;
-* the **runner** (:mod:`repro.scenarios.runner`) executes batches of specs
-  with derived per-repetition seeds, optional multiprocessing fan-out and
-  JSONL persistence.
+* the **runner** (:mod:`repro.scenarios.runner`) materializes a spec and
+  runs its repetitions with derived per-repetition seeds.
 
-Quickstart::
+Batches of specs run through :class:`repro.api.Experiment`, with optional
+multiprocessing fan-out.  Quickstart::
 
-    from repro.scenarios import ScenarioSpec, ScenarioRunner, sweep
+    from repro import Experiment
+    from repro.scenarios import ScenarioSpec, record_to_json_line, sweep
 
     base = ScenarioSpec(
         problem="single-source",
@@ -23,7 +24,9 @@ Quickstart::
         repetitions=3,
     )
     specs = sweep(base, {"problem.num_nodes": [16, 32, 64]})
-    records = ScenarioRunner(workers=2).run(specs, jsonl_path="results.jsonl")
+    records = Experiment.from_specs(specs).run(workers=2).records()
+    with open("results.jsonl", "w") as sink:
+        sink.writelines(record_to_json_line(record) + "\\n" for record in records)
 """
 
 from repro.scenarios.registry import (
@@ -41,7 +44,6 @@ from repro.scenarios import builtins as _builtins  # noqa: F401  (populates regi
 from repro.scenarios.spec import ScenarioSpec, load_specs, sweep
 from repro.scenarios.runner import (
     MaterializedScenario,
-    ScenarioRunner,
     materialize,
     record_from_result,
     record_to_json_line,
@@ -64,7 +66,6 @@ __all__ = [
     "load_specs",
     "sweep",
     "MaterializedScenario",
-    "ScenarioRunner",
     "materialize",
     "record_from_result",
     "record_to_json_line",

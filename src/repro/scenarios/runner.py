@@ -1,4 +1,4 @@
-"""Executing scenario specs: materialization, batches and parallel fan-out.
+"""Executing scenario specs: materialization, single runs and records.
 
 The execution pipeline is spec-in, records-out:
 
@@ -7,10 +7,13 @@ The execution pipeline is spec-in, records-out:
 * :func:`run_scenario` runs one repetition and returns the raw
   :class:`~repro.core.result.ExecutionResult` (for code that needs the full
   object, e.g. benchmarks and examples);
-* :func:`run_spec` runs all repetitions of one spec and returns plain-dict
-  records ready for JSON;
-* :class:`ScenarioRunner` runs a batch of specs — serially or fanned out
-  over worker processes — with progress callbacks and JSONL persistence.
+* :func:`run_spec` runs all repetitions of one spec on ``spec.backend``
+  and returns plain-dict records ready for JSON — the reference the sweep
+  executors are tested against;
+* :func:`record_to_json_line` is the canonical JSONL encoding of a record.
+
+Batches of specs run through :class:`repro.api.Experiment` /
+:class:`repro.api.RunSet`, serially or fanned out over worker processes.
 
 Determinism: the seed of repetition ``r`` is derived from
 ``(spec.seed, spec.scenario_key(), r)`` with a cross-process-stable hash,
@@ -21,24 +24,9 @@ batch, regardless of worker count or scheduling.
 
 from __future__ import annotations
 
-import importlib
 import json
-import multiprocessing
-import os
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    IO,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, NamedTuple
 
-from repro.core.engine import Simulator
 from repro.core.problem import DisseminationProblem
 from repro.core.result import ExecutionResult
 from repro.scenarios import builtins as _builtins  # noqa: F401  (populates registries)
@@ -50,9 +38,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import derive_seed
 from repro.utils.validation import ConfigurationError
-
-#: ``progress(completed, total, spec)`` called after each spec finishes.
-ProgressCallback = Callable[[int, int, ScenarioSpec], None]
 
 #: Version stamped into every emitted record; bump on incompatible layout
 #: changes so :mod:`repro.results.records` can reject records it cannot read.
@@ -169,113 +154,3 @@ def run_spec(spec: ScenarioSpec) -> List[Dict[str, Any]]:
 def record_to_json_line(record: Dict[str, Any]) -> str:
     """The canonical JSONL encoding of one record (stable key order)."""
     return json.dumps(record, sort_keys=True)
-
-
-def _run_spec_payload(payload: Tuple[str, Tuple[str, ...]]) -> List[Dict[str, Any]]:
-    """Worker entry point: rebuild everything from the payload and run it.
-
-    Going through JSON (rather than pickling the dataclass) keeps the
-    contract honest: anything a worker needs must round-trip through the
-    spec serialization.  ``extension_modules`` are imported first so that
-    third-party registrations exist in the worker even under the ``spawn``
-    start method, where module-level registration in the parent's script
-    is not inherited.
-    """
-    spec_json, extension_modules = payload
-    for module_name in extension_modules:
-        importlib.import_module(module_name)
-    return run_spec(ScenarioSpec.from_json(spec_json))
-
-
-class ScenarioRunner:
-    """Runs batches of scenario specs, optionally across worker processes.
-
-    Args:
-        workers: number of worker processes; ``1`` (default) runs in-process.
-        progress: optional callback invoked as ``progress(completed, total,
-            spec)`` after each spec's repetitions finish (in batch order).
-        extension_modules: importable module names that perform third-party
-            registry registrations; workers import them before running any
-            spec.  Required for specs referencing non-built-in components
-            whenever the multiprocessing start method is ``spawn`` or
-            ``forkserver`` (the default on macOS and Windows).
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        progress: Optional[ProgressCallback] = None,
-        extension_modules: Sequence[str] = (),
-    ) -> None:
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigurationError(f"workers must be a positive int, got {workers!r}")
-        for module_name in extension_modules:
-            if not isinstance(module_name, str) or not module_name:
-                raise ConfigurationError(
-                    f"extension_modules must be importable module names, got {module_name!r}"
-                )
-        self._workers = workers
-        self._progress = progress
-        self._extension_modules = tuple(extension_modules)
-
-    def run(
-        self,
-        specs: Sequence[ScenarioSpec],
-        *,
-        jsonl_path: Optional[Union[str, "os.PathLike[str]"]] = None,
-    ) -> List[Dict[str, Any]]:
-        """Run the batch and return all records in deterministic batch order.
-
-        Records are also appended to ``jsonl_path`` (one JSON object per
-        line, created/truncated first) as each spec completes, so partial
-        output survives interruption.
-        """
-        specs = list(specs)
-        for spec in specs:
-            if not isinstance(spec, ScenarioSpec):
-                raise ConfigurationError(f"expected a ScenarioSpec, got {type(spec).__name__}")
-        sink: Optional[IO[str]] = None
-        records: List[Dict[str, Any]] = []
-        try:
-            if jsonl_path is not None:
-                sink = open(jsonl_path, "w", encoding="utf-8")
-            for index, spec_records in enumerate(self._iter_batches(specs)):
-                records.extend(spec_records)
-                if sink is not None:
-                    for record in spec_records:
-                        sink.write(record_to_json_line(record) + "\n")
-                    sink.flush()
-                if self._progress is not None:
-                    self._progress(index + 1, len(specs), specs[index])
-        finally:
-            if sink is not None:
-                sink.close()
-        return records
-
-    def _iter_batches(self, specs: Sequence[ScenarioSpec]):
-        if self._workers == 1 or len(specs) <= 1:
-            for spec in specs:
-                yield run_spec(spec)
-            return
-        workers = min(self._workers, len(specs))
-        payloads = [(spec.to_json(), self._extension_modules) for spec in specs]
-        with multiprocessing.Pool(processes=workers) as pool:
-            # imap (not imap_unordered) preserves batch order, which keeps
-            # parallel output byte-identical to the serial path.
-            for spec_records in pool.imap(_run_spec_payload, payloads, chunksize=1):
-                yield spec_records
-
-
-def execute(
-    problem: DisseminationProblem,
-    algorithm: Any,
-    adversary: Any,
-    *,
-    seed: int,
-    max_rounds: Optional[int] = None,
-) -> ExecutionResult:
-    """Run one already-materialized execution (shared by the legacy runner)."""
-    return Simulator(
-        problem, algorithm, adversary, seed=seed, max_rounds=max_rounds
-    ).run()

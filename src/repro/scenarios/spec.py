@@ -5,7 +5,7 @@ adversary, each by registry name plus keyword parameters, together with the
 base seed, repetition count and round limit — as plain JSON-serializable
 data.  Because a spec carries no live objects it can be written to disk,
 shipped to a worker process and rebuilt there, which is what makes the
-parallel :class:`~repro.scenarios.runner.ScenarioRunner` possible.
+parallel :class:`~repro.api.RunSet` possible.
 
 :func:`sweep` expands a base spec and a parameter grid into the cross
 product of concrete specs, e.g.::

@@ -26,14 +26,19 @@ subscribers catch up identically.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import Experiment, ExperimentPlan, PlanCell, vectorizable_group
+from repro.api import (
+    Experiment,
+    ExperimentPlan,
+    GroupPayload,
+    PlanCell,
+    _cell_completed,
+    group_payloads,
+)
 from repro.obs.events import (
     CellCached,
-    CellCompleted,
     CellStarted,
     ProgressEvent,
     RunFinished,
@@ -178,51 +183,43 @@ class Scheduler:
     def _claim_cells(
         self, job: Job, plan: ExperimentPlan
     ) -> Dict[int, Tuple["asyncio.Future", bool]]:
-        """Claim every pending cell and dispatch it as a group payload.
+        """Claim every pending cell and dispatch the fresh ones as payloads.
 
-        Plan order is spec-major, so consecutive grouping recovers each grid
-        cell's pending repetitions.  The repetitions of a group that are not
-        already claimed by an in-flight execution (a sibling job's cell —
-        those coalesce instead) go to the pool as *one* payload when the
-        scenario vectorizes, and as one single-repetition payload per cell
-        otherwise — the split :func:`repro.api.group_payloads` makes for
-        ``RunSet`` workers.  The worker's :func:`repro.api.execute_group`
-        picks the engine either way.
+        A pending cell already claimed by an in-flight execution (a sibling
+        job's cell) coalesces onto it.  The rest are split into worker
+        payloads by :func:`repro.api.group_payloads`, exactly as ``RunSet``
+        workers split them; each payload's repetitions pair, in order, with
+        the executions claimed for them.
         """
         loop = asyncio.get_running_loop()
         claims: Dict[int, Tuple["asyncio.Future", bool]] = {}
-        pending = [
-            (index, cell)
-            for index, cell in enumerate(plan.cells)
-            if not cell.cached
-        ]
-        for spec, group in itertools.groupby(pending, key=lambda pair: pair[1].spec):
-            fresh: List[Tuple[_Execution, PlanCell]] = []
-            for index, cell in group:
-                key: ExecutionKey = (
-                    cell.spec.scenario_key(),
-                    cell.repetition,
-                    cell.spec.max_rounds,
-                )
-                execution = self._executions.get(key)
-                if execution is not None:
-                    claims[index] = (execution.future, False)
-                    continue
-                execution = _Execution(key, job.id, loop.create_future())
-                self._executions[key] = execution
-                claims[index] = (execution.future, True)
-                fresh.append((execution, cell))
-            if not fresh:
+        fresh: List[Tuple[_Execution, PlanCell]] = []
+        for index, cell in enumerate(plan.cells):
+            if cell.cached:
                 continue
-            if vectorizable_group(spec, len(fresh)):
-                loop.create_task(self._run_group_execution(spec, fresh))
-            else:
-                for entry in fresh:
-                    loop.create_task(self._run_group_execution(spec, [entry]))
+            key: ExecutionKey = (
+                cell.spec.scenario_key(),
+                cell.repetition,
+                cell.spec.max_rounds,
+            )
+            execution = self._executions.get(key)
+            if execution is not None:
+                claims[index] = (execution.future, False)
+                continue
+            execution = _Execution(key, job.id, loop.create_future())
+            self._executions[key] = execution
+            claims[index] = (execution.future, True)
+            fresh.append((execution, cell))
+        entries = iter(fresh)
+        for payload in group_payloads(
+            [cell for _, cell in fresh], self.extensions, self.collect_timings
+        ):
+            group = [next(entries) for _ in payload[1]]
+            loop.create_task(self._run_group_execution(payload, group))
         return claims
 
     async def _run_group_execution(
-        self, spec: ScenarioSpec, entries: List[Tuple[_Execution, PlanCell]]
+        self, payload: GroupPayload, entries: List[Tuple[_Execution, PlanCell]]
     ) -> None:
         """Run one group payload on the pool, persist, resolve, un-claim.
 
@@ -234,34 +231,29 @@ class Scheduler:
         record is persisted either still finds its execution in the table
         (and coalesces) or plans after the un-claim and finds the record in
         the store (and is cached).  Either way it never re-runs.  A group
-        failure fails every claimed cell (they shared the one physical
-        execution).
+        failure, or a failed store write, fails every cell of the group not
+        yet resolved: a cell resolves ``"ok"`` only once its record is
+        stored.
         """
-        payload = (
-            spec.to_json(),
-            tuple(cell.repetition for _, cell in entries),
-            self.extensions,
-            self.collect_timings,
-        )
         try:
             outcomes = await self.pool.run_group(payload)
-        except Exception as error:  # worker death, unpicklable spec, ...
+            for (execution, _), (record, meta) in zip(entries, outcomes):
+                # replace=True supersedes stale-schema/stale-cap occupants
+                # of the identity; the per-record manifest save is what lets
+                # a plan built right after this see the record.
+                self.store.add([record], replace=True)
+                self._executions.pop(execution.key, None)
+                execution.future.set_result(("ok", record, meta))
+        except Exception as error:  # worker death, unpicklable spec, full disk, ...
             logger.error(
                 "execution failed: %s x%d: %s",
-                spec.label, len(entries), error,
+                entries[0][1].spec.label, len(entries), error,
             )
             message = f"{type(error).__name__}: {error}"
             for execution, _ in entries:
-                self._executions.pop(execution.key, None)
-                execution.future.set_result(("error", message))
-            return
-        for (execution, _), (record, meta) in zip(entries, outcomes):
-            # replace=True supersedes stale-schema/stale-cap occupants of
-            # the identity; the per-record manifest save is what lets a
-            # plan built right after this see the record.
-            self.store.add([record], replace=True)
-            self._executions.pop(execution.key, None)
-            execution.future.set_result(("ok", record, meta))
+                if not execution.future.done():
+                    self._executions.pop(execution.key, None)
+                    execution.future.set_result(("error", message))
 
     # -- the job task ------------------------------------------------------
 
@@ -307,19 +299,7 @@ class Scheduler:
                 if owned:
                     job.executed += 1
                     await self._emit(
-                        job,
-                        CellCompleted(
-                            index=index,
-                            total=total,
-                            scenario=cell.spec.label,
-                            repetition=cell.repetition,
-                            backend=meta["backend"],
-                            seconds=meta["seconds"],
-                            completed=record["completed"],
-                            rounds=record["rounds"],
-                            total_messages=record["total_messages"],
-                            stage_seconds=meta["stage_seconds"],
-                        ),
+                        job, _cell_completed(index, total, cell, record, meta)
                     )
                 else:
                     # Coalesced onto a sibling job's execution: this job

@@ -8,10 +8,9 @@ full submit/coalesce/persist path without forking.
 
 Cells travel as the same picklable group payloads the parallel
 :class:`~repro.api.RunSet` path ships to ``multiprocessing.Pool``:
-``(spec_json, repetitions, extension_modules, collect_timings)`` executed
-by :func:`repro.api.execute_group_payload`, which picks the engine.  A
-vectorizable group is one payload (one batch-kernel pass per worker task);
-every other cell is a one-repetition payload of its own.
+``(spec_json, repetitions, extension_modules, collect_timings)``, split by
+:func:`repro.api.group_payloads` and executed by
+:func:`repro.api.execute_group_payload`, which picks the engine.
 """
 
 from __future__ import annotations

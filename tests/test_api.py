@@ -14,7 +14,7 @@ from repro.api import (
     load_runs,
 )
 from repro.results import RunStore
-from repro.scenarios import ScenarioRunner, ScenarioSpec, record_to_json_line, sweep
+from repro.scenarios import ScenarioSpec, record_to_json_line, run_spec, sweep
 from repro.utils.validation import ConfigurationError, ReproError
 
 
@@ -203,7 +203,7 @@ class TestPlan:
 
 
 class TestRunSet:
-    def test_records_match_the_scenario_runner_byte_for_byte(self):
+    def test_records_match_the_reference_engine_byte_for_byte(self):
         base = ScenarioSpec(
             problem="single-source",
             problem_params={"num_nodes": 6, "num_tokens": 4},
@@ -217,10 +217,10 @@ class TestRunSet:
             spec.with_params(adversary={"num_nodes": spec.problem_params["num_nodes"]})
             for spec in specs
         ]
-        legacy = ScenarioRunner().run(specs)
+        reference = [record for spec in specs for record in run_spec(spec)]
         fluent = Experiment.from_specs(specs).run().records()
         assert [record_to_json_line(r) for r in fluent] == [
-            record_to_json_line(r) for r in legacy
+            record_to_json_line(r) for r in reference
         ]
 
     def test_parallel_run_is_byte_identical_to_serial(self):
@@ -277,6 +277,79 @@ class TestRunSet:
     def test_runset_needs_exactly_one_source(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
             RunSet()
+
+
+def churn_experiment(**overrides):
+    """Algorithm 1 against a churning adversary: the competitive-cost sweep."""
+    params = dict(
+        algorithm="single-source",
+        adversary="churn",
+        num_nodes=6,
+        num_tokens=3,
+    )
+    params.update(overrides)
+    return Experiment.grid(
+        {"adversary.changes_per_round": 2, "adversary.edge_probability": 0.4},
+        **params,
+    )
+
+
+class TestRepetitionSweeps:
+    """Seeded repetition sweeps run end to end through Experiment/RunSet."""
+
+    def test_run_produces_one_record_per_repetition(self):
+        records = churn_experiment().seeds(3).run().records()
+        assert len(records) == 3
+        assert all(record["completed"] for record in records)
+        assert [record["repetition"] for record in records] == [0, 1, 2]
+        assert len({record["seed"] for record in records}) == 3
+
+    def test_records_carry_sweep_parameters(self):
+        records = (
+            churn_experiment(name="x")
+            .vary("adversary.changes_per_round", [1, 3])
+            .run()
+            .records()
+        )
+        assert [
+            record["spec"]["adversary_params"]["changes_per_round"] for record in records
+        ] == [1, 3]
+        assert all((record["n"], record["k"]) == (6, 3) for record in records)
+        assert all(record["scenario"] == "x" for record in records)
+
+    def test_repetitions_must_be_positive(self):
+        for count in (0, -2):
+            with pytest.raises(ConfigurationError, match="repetitions"):
+                churn_experiment().seeds(count)
+
+    def test_runs_are_reproducible_for_same_base_seed(self):
+        first = churn_experiment(seed=5).seeds(2).run().records()
+        again = churn_experiment(seed=5).seeds(2).run().records()
+        other = churn_experiment(seed=6).seeds(2).run().records()
+        assert [record_to_json_line(r) for r in first] == [
+            record_to_json_line(r) for r in again
+        ]
+        assert [r["seed"] for r in first] != [r["seed"] for r in other]
+
+    def test_sweep_runs_every_configuration(self):
+        records = churn_experiment(num_nodes=[5, 7]).seeds(2).run().records()
+        assert [(record["n"], record["repetition"]) for record in records] == [
+            (5, 0),
+            (5, 1),
+            (7, 0),
+            (7, 1),
+        ]
+
+    def test_aggregate_groups_and_averages(self):
+        runset = churn_experiment(num_nodes=[5, 7]).seeds(2).run()
+        rows = runset.aggregate(by=["n"]).rows
+        assert [row["n"] for row in rows] == [5, 7]
+        assert [row["runs"] for row in rows] == [2, 2]
+        assert all(row["completed"] for row in rows)
+        for row in rows:
+            messages = [r["total_messages"] for r in runset if r["n"] == row["n"]]
+            assert row["total_messages_mean"] == sum(messages) / len(messages)
+            assert row["total_messages_mean"] > 0
 
 
 class TestIncrementalReruns:
@@ -414,33 +487,3 @@ class TestPipelineHandles:
     def test_load_runs_rejects_missing_sources(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no such"):
             load_runs(str(tmp_path / "nope.jsonl"))
-
-
-class TestLegacyRunnerShim:
-    def test_experiment_runner_warns_and_round_trips_through_the_new_api(self):
-        from repro import ExperimentRunner, single_source_problem
-        from repro.adversaries import ControlledChurnAdversary
-        from repro.algorithms import FloodingAlgorithm
-
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner is deprecated"):
-            runner = ExperimentRunner(base_seed=1)
-        legacy = runner.run(
-            lambda: single_source_problem(6, 4),
-            FloodingAlgorithm,
-            lambda: ControlledChurnAdversary(changes_per_round=0, edge_probability=0.25),
-            repetitions=2,
-        )
-        fluent = (
-            Experiment.grid(
-                algorithm="flooding", adversary="static", num_nodes=6, num_tokens=4
-            )
-            .seeds(2)
-            .run()
-            .records()
-        )
-        assert len(fluent) == len(legacy) == 2
-        assert all(record.completed for record in legacy)
-        assert all(record["completed"] for record in fluent)
-        # Same problem dimensions surface through both record shapes.
-        assert {record["n"] for record in fluent} == {6}
-        assert all(record.params["n"] == 6 for record in legacy)

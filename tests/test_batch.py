@@ -1,7 +1,7 @@
 """Tests for the vectorized batch backend (``repro.batch``).
 
 Covers the four layers the subsystem spans: the ``BatchKnowledgeState``
-(bulk array operations + per-lane protocol + columnar event buffering), the
+(bulk array operations + columnar per-lane event buffering), the
 segment-based lazy :class:`~repro.core.events.EventLog`, the steady-topology
 skip machinery on adversary stages, and the end-to-end contract — records
 produced by the batch kernel are field-identical to serial execution,
@@ -78,23 +78,29 @@ class TestBatchKnowledgeState:
 
     def test_initial_knowledge_broadcasts_across_lanes(self):
         state, problem = self.make_state(lanes=3, n=6, k=4)
-        source = state.nodes[0]
         for lane in range(3):
-            state.select_lane(lane)
-            assert state.known_tokens(source) == problem.initial_knowledge[source]
-            assert state.is_node_complete(source)
-            assert not state.is_node_complete(state.nodes[1])
+            for index, node in enumerate(state.nodes):
+                known = {
+                    state.tokens[bit] for bit in np.nonzero(state.know[lane, index])[0]
+                }
+                assert known == set(problem.initial_knowledge[node])
+                assert state.known_counts[lane, index] == len(known)
+        # Only the source starts complete, so no lane has solved dissemination.
+        assert state.known_counts[:, 0].tolist() == [4, 4, 4]
+        assert state.known_counts[:, 1:].sum() == 0
+        assert state.completed_lanes().tolist() == [False, False, False]
 
     def test_per_lane_learn_touches_only_that_lane(self):
         state, _ = self.make_state(lanes=2)
-        token = state.tokens[1]
-        node = state.nodes[2]
-        assert state.select_lane(0).learn_index(2, 1)
-        assert state.select_lane(0).knows(node, token)
-        assert not state.select_lane(1).knows(node, token)
+        assert state.learn_lane_index(0, 2, 1)
+        assert state.know[0, 2, 1] and not state.know[1, 2, 1]
+        assert state.known_counts[:, 2].tolist() == [1, 0]
         # Re-learning is a no-op and buffers no second event.
-        assert not state.select_lane(0).learn_index(2, 1)
-        assert len(state.drain_lane_segments(0)) == 1
+        assert not state.learn_lane_index(0, 2, 1)
+        assert state.known_counts[0, 2] == 1
+        assert state.drain_lane_segments(0) == [
+            (SEG_TRIPLES, [(0, state.nodes[2], state.tokens[1])])
+        ]
         assert state.drain_lane_segments(1) == []
 
     def test_learn_token_bulk_updates_counts_and_buffers_columns(self):
@@ -105,9 +111,9 @@ class TestBatchKnowledgeState:
         learners[1, 3] = True
         state.learn_token_bulk(1, learners)
         token = state.tokens[1]
-        assert state.select_lane(0).knows(state.nodes[2], token)
-        assert state.select_lane(0).knows(state.nodes[4], token)
-        assert state.select_lane(1).knows(state.nodes[3], token)
+        holders = learners.copy()
+        holders[:, 0] = True  # the source
+        assert (state.holders_column(1) == holders).all()
         assert state.known_counts[0, 2] == 1 and state.known_counts[1, 3] == 1
 
         lane0 = state.drain_lane_segments(0)
@@ -122,21 +128,36 @@ class TestBatchKnowledgeState:
         # Draining clears the buffers.
         assert state.drain_lane_segments(0) == []
 
-    def test_serial_drain_expands_segments_to_pairs(self):
+    def test_drain_lane_segments_keeps_learn_order_across_segment_kinds(self):
         state, _ = self.make_state(lanes=1, n=6, k=4)
         state.begin_round(3)
         learners = np.zeros((1, 6), dtype=np.bool_)
         learners[0, [1, 5]] = True
         state.learn_token_bulk(2, learners)
-        state.learn_index(4, 3)
-        pairs = state.select_lane(0).drain_learnings()
-        token2, token3 = state.tokens[2], state.tokens[3]
-        assert pairs == [
-            (state.nodes[1], token2),
-            (state.nodes[5], token2),
-            (state.nodes[4], token3),
+        state.learn_lane_index(0, 4, 3)
+        state.learn_lane_index(0, 2, 3)
+        state.begin_round(4)
+        learners = np.zeros((1, 6), dtype=np.bool_)
+        learners[0, 3] = True
+        state.learn_token_bulk(1, learners)
+        segments = state.drain_lane_segments(0)
+        # Consecutive single learnings share one triples segment.
+        assert [segment[0] for segment in segments] == [
+            SEG_COLUMN,
+            SEG_TRIPLES,
+            SEG_COLUMN,
         ]
-        assert state.drain_learnings() == []
+        log = EventLog()
+        log.extend_segments(segments)
+        nodes, tokens = state.nodes, state.tokens
+        assert [(e.round_index, e.node, e.token) for e in log] == [
+            (3, nodes[1], tokens[2]),
+            (3, nodes[5], tokens[2]),
+            (3, nodes[4], tokens[3]),
+            (3, nodes[2], tokens[3]),
+            (4, nodes[3], tokens[1]),
+        ]
+        assert state.drain_lane_segments(0) == []
 
     def test_completed_lanes(self):
         state, _ = self.make_state(lanes=2, n=4, k=2)

@@ -59,3 +59,12 @@ class TestQuickstartFunctions:
         captured = capsys.readouterr().out
         assert "flooding" in captured.lower()
         assert "free-edge" in captured
+
+
+class TestResultsWarehouseExample:
+    def test_second_merge_adds_nothing(self, capsys):
+        module = load_example("results_warehouse.py")
+        module.main(num_repetitions=2)
+        captured = capsys.readouterr().out
+        assert "first merge : 6 added, 0 skipped" in captured
+        assert "second merge: 0 added, 6 skipped" in captured

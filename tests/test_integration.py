@@ -15,7 +15,7 @@ import pytest
 
 from repro import (
     ControlledChurnAdversary,
-    ExperimentRunner,
+    Experiment,
     FloodingAlgorithm,
     LowerBoundAdversary,
     MultiSourceUnicastAlgorithm,
@@ -24,12 +24,12 @@ from repro import (
     PotentialTracker,
     RandomChurnObliviousAdversary,
     RequestCuttingAdversary,
+    ScenarioSpec,
     ScheduleAdversary,
     SingleSourceUnicastAlgorithm,
     SpanningTreeAlgorithm,
     Simulator,
     StaticAdversary,
-    aggregate_records,
     fit_power_law,
     n_gossip_problem,
     random_assignment_problem,
@@ -186,21 +186,23 @@ class TestShapeOfTheBounds:
 
 class TestExperimentPipeline:
     def test_sweep_aggregation_round_trip(self):
-        runner = ExperimentRunner(base_seed=11)
-
-        def build(config):
-            n = config["n"]
-            return (
-                lambda: single_source_problem(n, n),
-                lambda: SingleSourceUnicastAlgorithm(),
-                lambda: ControlledChurnAdversary(changes_per_round=2, edge_probability=0.35),
-            )
-
-        records = runner.sweep([{"n": 8}, {"n": 12}], build, repetitions=2)
-        rows = aggregate_records(records, group_by=["n"])
+        base = ScenarioSpec(
+            problem="single-source",
+            problem_params={"num_nodes": 8, "num_tokens": 8},
+            algorithm="single-source",
+            adversary="churn",
+            adversary_params={"changes_per_round": 2, "edge_probability": 0.35},
+            seed=11,
+            repetitions=2,
+        )
+        specs = [
+            base.with_params(problem={"num_nodes": n, "num_tokens": n})
+            for n in (8, 12)
+        ]
+        rows = Experiment.from_specs(specs).run().aggregate(by=["n"]).rows
         assert [row["n"] for row in rows] == [8, 12]
         assert all(row["completed"] for row in rows)
-        assert rows[1]["total_messages"] > rows[0]["total_messages"]
+        assert rows[1]["total_messages_mean"] > rows[0]["total_messages_mean"]
 
     def test_simulator_is_reusable_across_configurations(self):
         problem = uniform_multi_source_problem(10, 3, 9, seed=8)

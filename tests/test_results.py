@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.api import Experiment
 from repro.cli import main
 from repro.results import (
     SCHEMA_VERSION,
@@ -28,7 +29,7 @@ from repro.results.compare import (
     registered_bounds,
 )
 from repro.results.report import render_markdown_table, render_table
-from repro.scenarios import ScenarioRunner, ScenarioSpec, sweep
+from repro.scenarios import ScenarioSpec, sweep
 from repro.utils.validation import ConfigurationError
 
 
@@ -47,7 +48,7 @@ def small_specs(repetitions=2, nodes=(8, 10)):
 @pytest.fixture(scope="module")
 def run_records():
     """Records from one small serial sweep (shared; runs are deterministic)."""
-    return ScenarioRunner().run(small_specs())
+    return Experiment.from_specs(small_specs()).run().records()
 
 
 def synthetic_record(algorithm, n, k, s, repetition, amortized, competitive=None):
@@ -253,8 +254,8 @@ class TestAggregation:
 
     def test_parallel_and_serial_runs_aggregate_identically(self):
         specs = small_specs()
-        serial = ScenarioRunner(workers=1).run(specs)
-        parallel = ScenarioRunner(workers=2).run(specs)
+        serial = Experiment.from_specs(specs).run(workers=1).records()
+        parallel = Experiment.from_specs(specs).run(workers=2).records()
         group_by = ("algorithm", "adversary", "n", "k")
         assert aggregate(serial, group_by) == aggregate(parallel, group_by)
 

@@ -5,12 +5,13 @@ import json
 import pytest
 
 from repro.algorithms.base import TokenForwardingAlgorithm
+from repro.api import Experiment
 from repro.core.problem import DisseminationProblem
+from repro.obs.events import CellCompleted, RunFinished
 from repro.scenarios import (
     ADVERSARY_REGISTRY,
     ALGORITHM_REGISTRY,
     PROBLEM_REGISTRY,
-    ScenarioRunner,
     ScenarioSpec,
     materialize,
     record_to_json_line,
@@ -276,25 +277,39 @@ class TestRunner:
         )
         serial_path = tmp_path / "serial.jsonl"
         parallel_path = tmp_path / "parallel.jsonl"
-        serial = ScenarioRunner(workers=1).run(specs, jsonl_path=serial_path)
-        parallel = ScenarioRunner(workers=2).run(specs, jsonl_path=parallel_path)
+        serial = Experiment.from_specs(specs).run(workers=1).records()
+        parallel = Experiment.from_specs(specs).run(workers=2).records()
+        for path, records in ((serial_path, serial), (parallel_path, parallel)):
+            path.write_text(
+                "".join(record_to_json_line(record) + "\n" for record in records)
+            )
         assert serial == parallel
         assert serial_path.read_bytes() == parallel_path.read_bytes()
         assert len(serial_path.read_text().strip().splitlines()) == len(specs) * 2
 
     def test_progress_callback_sees_every_spec_in_order(self):
-        specs = sweep(small_spec(), {"seed": [0, 1, 2]})
+        specs = [small_spec(seed=seed, name=f"seed-{seed}") for seed in (0, 1, 2)]
         seen = []
-        ScenarioRunner(progress=lambda done, total, spec: seen.append((done, total, spec.seed))).run(specs)
-        assert seen == [(1, 3, 0), (2, 3, 1), (3, 3, 2)]
+        Experiment.from_specs(specs).observe(seen.append).run().records()
+        completed = [event for event in seen if isinstance(event, CellCompleted)]
+        assert [(event.index, event.total, event.scenario) for event in completed] == [
+            (0, 3, "seed-0"),
+            (1, 3, "seed-1"),
+            (2, 3, "seed-2"),
+        ]
+        assert isinstance(seen[-1], RunFinished)
 
     def test_invalid_workers_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioRunner(workers=0)
+        experiment = Experiment.from_specs([small_spec()])
+        for workers in (0, -1, True, 1.5):
+            with pytest.raises(ConfigurationError, match="workers"):
+                experiment.run(workers=workers)
 
     def test_non_spec_items_are_rejected(self):
         with pytest.raises(ConfigurationError, match="ScenarioSpec"):
-            ScenarioRunner().run([{"problem": "single-source"}])
+            Experiment.from_specs([{"problem": "single-source"}])
+        with pytest.raises(ConfigurationError, match="ScenarioSpec"):
+            Experiment.from_spec({"problem": "single-source"})
 
 
 class TestReviewRegressions:
@@ -316,16 +331,20 @@ class TestReviewRegressions:
             assert first[field] == rerun[field]
 
     def test_extension_modules_are_validated(self):
-        with pytest.raises(ConfigurationError, match="extension_modules"):
-            ScenarioRunner(extension_modules=[""])
-        with pytest.raises(ConfigurationError, match="extension_modules"):
-            ScenarioRunner(extension_modules=[object()])
+        experiment = Experiment.from_specs([small_spec()])
+        with pytest.raises(ConfigurationError, match="extensions"):
+            experiment.extensions("")
+        with pytest.raises(ConfigurationError, match="extensions"):
+            experiment.extensions(object())
 
     def test_parallel_run_imports_extension_modules(self, tmp_path):
         # "repro.scenarios" is trivially importable in workers; this pins the
         # payload plumbing without needing a spawn-start interpreter.
         specs = sweep(small_spec(), {"seed": [0, 1]})
-        records = ScenarioRunner(
-            workers=2, extension_modules=["repro.scenarios"]
-        ).run(specs)
+        records = (
+            Experiment.from_specs(specs)
+            .extensions("repro.scenarios")
+            .run(workers=2)
+            .records()
+        )
         assert len(records) == 2

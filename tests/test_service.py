@@ -10,6 +10,7 @@ it mid-run.
 from __future__ import annotations
 
 import asyncio
+import errno
 import io
 import json
 import multiprocessing
@@ -277,6 +278,39 @@ class TestSchedulerCoalescing:
         assert [e["backend"] for e in completed] == ["bitset"] * cells
         expected = [record for spec in specs for record in run_spec(spec)]
         assert job.records == expected
+
+    def test_failed_store_write_fails_the_job_and_releases_its_cells(self, tmp_path):
+        specs = sweep_specs()
+
+        def full_disk(records, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def scenario():
+            pool = GatedPool()
+            pool.gate.set()
+            scheduler = Scheduler(str(tmp_path / "store"), pool)
+            add = scheduler.store.add
+            scheduler.store.add = full_disk
+            job = scheduler.submit(specs)
+            # Graceful shutdown must not hang on cells whose record never
+            # reached the store.
+            await asyncio.wait_for(scheduler.drain(), 5)
+            claimed = len(scheduler._executions)
+            scheduler.store.add = add
+            scheduler.draining = False
+            retry = scheduler.submit(specs)
+            await asyncio.wait_for(scheduler.drain(), 60)
+            return job, claimed, retry
+
+        job, claimed, retry = asyncio.run(scenario())
+        assert job.state == "failed"
+        assert "OSError" in job.error
+        assert claimed == 0
+        # Nothing was stored, so the resubmission executes every cell.
+        cells = len(retry.plan.cells)
+        assert retry.plan.describe()["pending"] == cells
+        assert retry.state == "done" and retry.executed == cells
+        assert len(RunStore(str(tmp_path / "store")).records()) == cells
 
     def test_draining_scheduler_rejects_submissions(self, tmp_path):
         async def scenario():
