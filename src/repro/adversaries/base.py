@@ -38,8 +38,9 @@ class Adversary(abc.ABC):
     the tuples of :meth:`edges_for_round`, rejecting endpoints outside the
     node set and self-loops.  Override it when the adversary can keep its
     graph as ids itself and so skip building and converting tuples every
-    round (:class:`~repro.adversaries.oblivious.ControlledChurnAdversary`
-    and :class:`~repro.adversaries.lower_bound.LowerBoundAdversary` do).
+    round (:class:`~repro.adversaries.oblivious.ControlledChurnAdversary`,
+    :class:`~repro.adversaries.lower_bound.LowerBoundAdversary` and
+    :class:`~repro.adversaries.oblivious.ScheduleAdversary` do).
     An override must return canonical ids for the same graph
     :meth:`edges_for_round` would return, and must advance the adversary's
     state exactly as one :meth:`edges_for_round` call would; handed an
@@ -119,9 +120,10 @@ class Adversary(abc.ABC):
         """Return ``E_r`` as a frozenset of integer edge ids (see the class
         docstring for the encoding).
 
-        Schedule-replaying adversaries return the same frozenset object for
-        repeated rounds; its ids are computed once and the identical id
-        frozenset is returned again, which lets the kernel skip the delta.
+        An adversary that replays a schedule through this default returns
+        the same frozenset object for repeated rounds; its ids are computed
+        once and the identical id frozenset is returned again, which lets
+        the kernel skip the delta.
         """
         raw = self.edges_for_round(round_index, observation)
         cache = getattr(self, "_edge_id_cache", None)

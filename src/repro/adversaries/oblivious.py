@@ -36,7 +36,14 @@ from repro.utils.validation import (
 
 
 class ScheduleAdversary(Adversary):
-    """Replays a pre-committed schedule; the last round graph repeats forever."""
+    """Replays a pre-committed schedule; the last round graph repeats forever.
+
+    The :class:`~repro.dynamics.graph_sequence.GraphSchedule` is immutable
+    and may be shared by many adversaries (the registry's schedule factories
+    share one per parameter set); only the per-execution state lives here.
+    :meth:`edge_ids_for_round` hands the kernel the schedule's precomputed
+    edge ids over its sorted nodes, the positions the kernel indexes by.
+    """
 
     oblivious = True
 
@@ -65,6 +72,18 @@ class ScheduleAdversary(Adversary):
         self, round_index: int, observation: Optional[RoundObservation]
     ) -> Iterable[Edge]:
         return self._schedule.edges_for_round(round_index)
+
+    def edge_ids_for_round(
+        self,
+        round_index: int,
+        observation: Optional[RoundObservation],
+        index_of: Dict[NodeId, int],
+    ) -> FrozenSet[int]:
+        # on_reset checked that the schedule's sorted nodes are the
+        # problem's, so the schedule's ids are over the positions in nodes.
+        if not self.indexes_nodes_in_order(index_of):
+            return super().edge_ids_for_round(round_index, observation, index_of)
+        return self._schedule.edge_ids_for_round(round_index)
 
 
 class StaticAdversary(ScheduleAdversary):

@@ -614,13 +614,24 @@ def vectorizable_group(spec: ScenarioSpec, count: int) -> bool:
     Multi-repetition groups of vectorizable scenarios are dispatched to the
     vectorized batch backend automatically — it produces field-identical
     records, only faster.  An explicit ``.backend("bitset")`` (or any other
-    non-default backend) opts out; a missing numpy keeps the serial path
-    (with a once-per-process warning, since it silently costs wall-clock).
+    non-default backend) opts out; a missing numpy keeps a group that would
+    vectorize on the serial path (with a once-per-process warning, since it
+    silently costs wall-clock).
     """
     if count < 2 or spec.backend not in ("reference", "batch"):
         return False
+    # Imported lazily: repro.backends imports the scenario layer.  The
+    # package import must come first — in a fresh worker process, importing
+    # repro.batch.backend directly would re-enter the half-initialized
+    # backends package through the registration cycle between the two.
+    import repro.backends  # noqa: F401
+    from repro.batch.backend import can_vectorize_spec
     from repro.core.state import numpy_available
 
+    # Ask numpy only for a group that would vectorize: for any other group
+    # the import costs time and the missing extra changes nothing.
+    if not can_vectorize_spec(spec):
+        return False
     if not numpy_available():
         global _numpy_fallback_warned
         if not _numpy_fallback_warned:
@@ -630,14 +641,7 @@ def vectorizable_group(spec: ScenarioSpec, count: int) -> bool:
                 "(install the repro[fast] extra to vectorize them)"
             )
         return False
-    # Imported lazily: repro.backends imports the scenario layer.  The
-    # package import must come first — in a fresh worker process, importing
-    # repro.batch.backend directly would re-enter the half-initialized
-    # backends package through the registration cycle between the two.
-    import repro.backends  # noqa: F401
-    from repro.batch.backend import can_vectorize_spec
-
-    return can_vectorize_spec(spec)
+    return True
 
 
 def execute_group(

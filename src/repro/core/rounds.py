@@ -40,7 +40,17 @@ guard the per-algorithm delta logic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Type
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+)
 
 if TYPE_CHECKING:  # imported lazily at runtime: algorithm modules carry
     # their fast programs and import this module, so a module-level import
@@ -182,7 +192,8 @@ class AdversaryStage:
     :meth:`~repro.adversaries.base.Adversary.edge_ids_for_round`; ids
     already present last round were validated when they were inserted, so
     only this round's insertions are checked before the delta is applied
-    and connectivity is checked on the updated masks.
+    and connectivity is checked on the updated masks.  The object-level
+    :meth:`neighbors_view` is built on demand and kept until the next delta.
     """
 
     def __init__(
@@ -212,6 +223,7 @@ class AdversaryStage:
             keep_history=keep_trace,
         )
         self.adj: List[int] = [0] * n
+        self._neighbors_view: Optional[Mapping[NodeId, FrozenSet[NodeId]]] = None
         self.inserted_ids: FrozenSet[int] = frozenset()
         self.removed_ids: FrozenSet[int] = frozenset()
         self._previous_ids: FrozenSet[int] = frozenset()
@@ -229,6 +241,7 @@ class AdversaryStage:
         check connectivity; a disconnected round leaves :attr:`adj` as it was."""
         n = self.n
         adj = self.adj
+        self._neighbors_view = None
         for eid in inserted:
             a, b = divmod(eid, n)
             if not 0 <= a < b < n:
@@ -308,17 +321,24 @@ class AdversaryStage:
                 self.removed_ids = frozenset()
             self.trace.record_unchanged_many(count)
 
-    def neighbors_view(self) -> Dict[NodeId, FrozenSet[NodeId]]:
-        """The current adjacency as the object-level mapping algorithms use."""
-        nodes = self.nodes
-        view: Dict[NodeId, FrozenSet[NodeId]] = {}
-        for index, mask in enumerate(self.adj):
-            neighbors = []
-            while mask:
-                low = mask & -mask
-                neighbors.append(nodes[low.bit_length() - 1])
-                mask ^= low
-            view[nodes[index]] = frozenset(neighbors)
+    def neighbors_view(self) -> Mapping[NodeId, FrozenSet[NodeId]]:
+        """The current adjacency as the object-level mapping algorithms use.
+
+        Built once per graph: rounds without a delta get the same read-only
+        mapping back, so an algorithm cannot corrupt later rounds through it.
+        """
+        view = self._neighbors_view
+        if view is None:
+            nodes = self.nodes
+            mapping: Dict[NodeId, FrozenSet[NodeId]] = {}
+            for index, mask in enumerate(self.adj):
+                neighbors = []
+                while mask:
+                    low = mask & -mask
+                    neighbors.append(nodes[low.bit_length() - 1])
+                    mask ^= low
+                mapping[nodes[index]] = frozenset(neighbors)
+            view = self._neighbors_view = MappingProxyType(mapping)
         return view
 
 

@@ -381,6 +381,12 @@ class GraphSchedule:
     round graph repeats (the adversary keeps the topology fixed), which keeps
     every schedule well defined for arbitrarily long executions while adding
     no further topological changes.
+
+    A schedule is immutable, so any number of adversaries and executions may
+    replay one instance (the scenario registry shares it between cells with
+    equal generator parameters).  Besides node tuples it serves each round
+    as integer edge ids over positions in its sorted node list
+    (:meth:`edge_ids_for_round`), computed once per schedule.
     """
 
     def __init__(self, nodes: Iterable[NodeId], edge_sets: Sequence[Iterable[Edge]]):
@@ -391,6 +397,7 @@ class GraphSchedule:
         self._edge_sets: List[FrozenSet[Edge]] = [
             validate_edges(self._node_set, edges) for edges in edge_sets
         ]
+        self._id_sets: Optional[List[FrozenSet[int]]] = None
 
     @property
     def nodes(self) -> List[NodeId]:
@@ -413,6 +420,34 @@ class GraphSchedule:
             raise ConfigurationError(f"round indices start at 1, got {round_index}")
         index = min(round_index, len(self._edge_sets)) - 1
         return self._edge_sets[index]
+
+    def edge_ids_for_round(self, round_index: int) -> FrozenSet[int]:
+        """``E_r`` as edge ids ``a * n + b`` (``a < b`` positions in
+        :attr:`nodes`); for rounds beyond the schedule length the last graph
+        repeats.
+
+        Equal round graphs share one id frozenset, so a replaying round
+        kernel sees an unchanged round as the identical object.
+        """
+        if round_index < 1:
+            raise ConfigurationError(f"round indices start at 1, got {round_index}")
+        id_sets = self._id_sets
+        if id_sets is None:
+            n = len(self._nodes)
+            index_of = {node: index for index, node in enumerate(self._nodes)}
+            shared: Dict[FrozenSet[Edge], FrozenSet[int]] = {}
+            id_sets = []
+            for edges in self._edge_sets:
+                ids = shared.get(edges)
+                if ids is None:
+                    # Edges are normalized (u < v) and the nodes sorted, so
+                    # index_of[u] < index_of[v]: the canonical id.
+                    ids = shared[edges] = frozenset(
+                        index_of[u] * n + index_of[v] for u, v in edges
+                    )
+                id_sets.append(ids)
+            self._id_sets = id_sets
+        return id_sets[min(round_index, len(id_sets)) - 1]
 
     def graph(self, round_index: int) -> nx.Graph:
         """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes)."""

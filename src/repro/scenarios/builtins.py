@@ -14,6 +14,9 @@ forced two-phase run with ``center_probability=0.2``).
 
 from __future__ import annotations
 
+import functools
+from typing import Any, Callable
+
 from repro.adversaries.adaptive import (
     AdaptiveRewiringAdversary,
     RequestCuttingAdversary,
@@ -46,6 +49,7 @@ from repro.dynamics.generators import (
     star_oscillator_schedule,
     static_random_schedule,
 )
+from repro.dynamics.graph_sequence import GraphSchedule
 from repro.scenarios.registry import (
     register_adversary,
     register_algorithm,
@@ -90,6 +94,52 @@ register_adversary("star-recenter")(StarRecenterAdversary)
 register_adversary("adaptive-rewiring")(AdaptiveRewiringAdversary)
 
 
+# Every dynamics generator is registered as a schedule-replaying adversary so
+# its parameters are sweepable (``--grid adversary.churn_fraction=...``) and
+# ``python -m repro list`` shows it.  ``num_rounds`` bounds the pre-committed
+# schedule; past its end the last round graph repeats (ScheduleAdversary).
+#
+# An oblivious adversary commits to its schedule before the execution, so
+# every factory builds it through :func:`_replay`: with an int ``seed`` the
+# generator call is memoized, and cells and repetitions with equal parameters
+# share one immutable GraphSchedule (and its lazily computed edge ids) per
+# process, in a cache of ``_SCHEDULE_CACHE_SIZE`` schedules.  Each call still
+# returns a fresh ScheduleAdversary, which holds the per-execution state.
+
+_DEFAULT_SCHEDULE_ROUNDS = 512
+_SCHEDULE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE, typed=True)
+def _shared_schedule(
+    generator: Callable[..., GraphSchedule], **params: Any
+) -> GraphSchedule:
+    # ``typed=True`` keeps ``18`` and ``18.0`` (or ``1`` and ``True``) apart,
+    # so an input the generator rejects never hits another input's entry.
+    return generator(**params)
+
+
+def _replay(
+    name: str, generator: Callable[..., GraphSchedule], **params: Any
+) -> ScheduleAdversary:
+    """A :class:`ScheduleAdversary` named ``name`` replaying ``generator(**params)``.
+
+    The schedule is shared when the call is reproducible and its arguments
+    are hashable: ``seed`` an int (not a bool) and every parameter a number.
+    A ``random.Random`` or ``None`` seed always builds afresh.
+    """
+    seed = params["seed"]
+    if (
+        isinstance(seed, int)
+        and not isinstance(seed, bool)
+        and all(isinstance(value, (int, float)) for value in params.values())
+    ):
+        schedule = _shared_schedule(generator, **params)
+    else:
+        schedule = generator(**params)
+    return ScheduleAdversary(schedule, name=name)
+
+
 @register_adversary(
     "static-random",
     description="A static Erdős–Rényi-style connected graph fixed for the whole run.",
@@ -98,16 +148,13 @@ def static_random_adversary(
     num_nodes: int, edge_probability: float = 0.35, seed: int = 0
 ) -> ScheduleAdversary:
     """A :class:`ScheduleAdversary` replaying one static random graph."""
-    schedule = static_random_schedule(num_nodes, edge_probability=edge_probability, seed=seed)
-    return ScheduleAdversary(schedule, name="static-random")
-
-
-# Every dynamics generator is registered as a schedule-replaying adversary so
-# its parameters are sweepable (``--grid adversary.churn_fraction=...``) and
-# ``python -m repro list`` shows it.  ``num_rounds`` bounds the pre-committed
-# schedule; past its end the last round graph repeats (ScheduleAdversary).
-
-_DEFAULT_SCHEDULE_ROUNDS = 512
+    return _replay(
+        "static-random",
+        static_random_schedule,
+        num_nodes=num_nodes,
+        edge_probability=edge_probability,
+        seed=seed,
+    )
 
 
 @register_adversary(
@@ -121,14 +168,15 @@ def churn_schedule_adversary(
     churn_fraction: float = 0.3,
     seed: int = 0,
 ) -> ScheduleAdversary:
-    schedule = churn_schedule(
-        num_nodes,
-        num_rounds,
+    return _replay(
+        "churn-schedule",
+        churn_schedule,
+        num_nodes=num_nodes,
+        num_rounds=num_rounds,
         edge_probability=edge_probability,
         churn_fraction=churn_fraction,
         seed=seed,
     )
-    return ScheduleAdversary(schedule, name="churn-schedule")
 
 
 @register_adversary(
@@ -142,14 +190,15 @@ def edge_markovian_adversary(
     death_probability: float = 0.2,
     seed: int = 0,
 ) -> ScheduleAdversary:
-    schedule = edge_markovian_schedule(
-        num_nodes,
-        num_rounds,
+    return _replay(
+        "edge-markovian",
+        edge_markovian_schedule,
+        num_nodes=num_nodes,
+        num_rounds=num_rounds,
         birth_probability=birth_probability,
         death_probability=death_probability,
         seed=seed,
     )
-    return ScheduleAdversary(schedule, name="edge-markovian")
 
 
 @register_adversary(
@@ -163,14 +212,15 @@ def rewiring_regular_adversary(
     rewire_probability: float = 0.5,
     seed: int = 0,
 ) -> ScheduleAdversary:
-    schedule = rewiring_regular_schedule(
-        num_nodes,
-        num_rounds,
+    return _replay(
+        "rewiring-regular",
+        rewiring_regular_schedule,
+        num_nodes=num_nodes,
+        num_rounds=num_rounds,
         degree=degree,
         rewire_probability=rewire_probability,
         seed=seed,
     )
-    return ScheduleAdversary(schedule, name="rewiring-regular")
 
 
 @register_adversary(
@@ -183,8 +233,14 @@ def star_oscillator_adversary(
     period: int = 1,
     seed: int = 0,
 ) -> ScheduleAdversary:
-    schedule = star_oscillator_schedule(num_nodes, num_rounds, period=period, seed=seed)
-    return ScheduleAdversary(schedule, name="star-oscillator")
+    return _replay(
+        "star-oscillator",
+        star_oscillator_schedule,
+        num_nodes=num_nodes,
+        num_rounds=num_rounds,
+        period=period,
+        seed=seed,
+    )
 
 
 @register_adversary(
@@ -197,8 +253,14 @@ def path_shuffle_adversary(
     period: int = 1,
     seed: int = 0,
 ) -> ScheduleAdversary:
-    schedule = path_shuffle_schedule(num_nodes, num_rounds, period=period, seed=seed)
-    return ScheduleAdversary(schedule, name="path-shuffle")
+    return _replay(
+        "path-shuffle",
+        path_shuffle_schedule,
+        num_nodes=num_nodes,
+        num_rounds=num_rounds,
+        period=period,
+        seed=seed,
+    )
 
 
 @register_adversary(
@@ -212,10 +274,15 @@ def geometric_mobility_adversary(
     speed: float = 0.05,
     seed: int = 0,
 ) -> ScheduleAdversary:
-    schedule = geometric_mobility_schedule(
-        num_nodes, num_rounds, radius=radius, speed=speed, seed=seed
+    return _replay(
+        "geometric-mobility",
+        geometric_mobility_schedule,
+        num_nodes=num_nodes,
+        num_rounds=num_rounds,
+        radius=radius,
+        speed=speed,
+        seed=seed,
     )
-    return ScheduleAdversary(schedule, name="geometric-mobility")
 
 
 # -- problems --------------------------------------------------------------

@@ -76,6 +76,26 @@ def star_edges(num_nodes: int, center: int = 0):
     return [(center, i) for i in range(num_nodes) if i != center]
 
 
+#: The registered adversaries that replay a pre-committed schedule.
+SCHEDULE_ADVERSARIES = (
+    "static-random",
+    "churn-schedule",
+    "edge-markovian",
+    "rewiring-regular",
+    "star-oscillator",
+    "path-shuffle",
+    "geometric-mobility",
+)
+
+
+def schedule_adversary(name: str, num_nodes: int, num_rounds: int, seed: int):
+    """Build a schedule adversary by name; ``static-random`` has no ``num_rounds``."""
+    params = {"num_nodes": num_nodes, "seed": seed}
+    if name != "static-random":
+        params["num_rounds"] = num_rounds
+    return ADVERSARY_REGISTRY.create(name, **params)
+
+
 #: Problems each algorithm is drawn with; the rest accept all four.
 _PROBLEMS_FOR_ALGORITHM = {
     "single-source": ("single-source",),

@@ -37,6 +37,7 @@ from repro.core.state import (
     edge_id,
 )
 from repro.core.tokens import Token
+from repro.scenarios import ADVERSARY_REGISTRY
 from repro.utils.validation import (
     AdversaryViolationError,
     ConfigurationError,
@@ -249,6 +250,40 @@ class TestAdversaryStageIdPath:
         first = adversary.edge_ids_for_round(1, None, index_of)
         assert adversary.edge_ids_for_round(2, None, index_of) is first
         assert first == frozenset(self.PATH_IDS)
+
+
+class TestNeighborsView:
+    def test_view_is_rebuilt_only_after_a_delta_and_is_read_only(self):
+        n, length = 12, 15
+        adversary = ADVERSARY_REGISTRY.create(
+            "rewiring-regular", num_nodes=n, num_rounds=length, seed=4
+        )
+        adversary.reset(single_source_problem(n, 4), random.Random(0))
+        stage = make_stage(adversary, n=n)
+        previous = None
+        rebuilt = reused = 0
+        for round_index in range(1, length + 6):
+            stage.advance(round_index, None, None)
+            view = stage.neighbors_view()
+            expected = {node: set() for node in range(n)}
+            for u, v in stage.trace.edges_in_round(round_index):
+                expected[u].add(v)
+                expected[v].add(u)
+            assert view == {
+                node: frozenset(neighbors) for node, neighbors in expected.items()
+            }
+            if stage.inserted_ids or stage.removed_ids:
+                assert view is not previous
+                rebuilt += 1
+            else:
+                assert view is previous
+                reused += 1
+            assert stage.neighbors_view() is view
+            previous = view
+        # Past the schedule's end the graph is steady and the view is kept.
+        assert rebuilt >= 2 and reused >= 5
+        with pytest.raises(TypeError):
+            view[0] = frozenset()
 
 
 class RecordingAdversary(Adversary):

@@ -168,15 +168,66 @@ class TestCoreWithoutNumpy:
     )
 
     def test_import_and_plan_without_numpy(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
-        completed = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
+        completed = run_fresh_interpreter(self.SCRIPT)
         assert "ConfigurationError:" in completed.stdout
         assert "repro[fast]" in completed.stdout
+
+
+def run_fresh_interpreter(script):
+    """Run ``script`` in a new interpreter importing this checkout's repro."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed
+
+
+class TestNumpyOnlyForVectorizableGroups:
+    """A sweep consults numpy only for a group that would run on the batch
+    engine: single-source has no batch program, so its repetition groups
+    neither import numpy nor warn that the missing extra costs speed."""
+
+    SWEEPS = textwrap.dedent(
+        """
+        import sys
+        {block}
+        import repro
+        from repro.obs.logs import configure_logging
+
+        configure_logging(stream=sys.stdout)
+
+        def sweep(algorithm, adversary):
+            repro.Experiment.grid(
+                algorithm=algorithm, adversary=adversary, num_nodes=8, num_tokens=4,
+            ).seeds(2).run().records()
+            print("swept", algorithm)
+
+        sweep("single-source", "churn")
+        print("numpy imported:", sys.modules.get("numpy") is not None)
+        {more}
+        """
+    )
+
+    WARNING = "numpy is not installed"
+
+    def test_only_a_vectorizable_group_warns_without_numpy(self):
+        script = self.SWEEPS.format(
+            block='sys.modules["numpy"] = None',
+            more='sweep("flooding", "static-random")',
+        )
+        out = run_fresh_interpreter(script).stdout
+        single_source, flooding = out.split("swept single-source")
+        assert self.WARNING not in single_source
+        assert flooding.count(self.WARNING) == 1
+        assert "swept flooding" in flooding
+
+    def test_a_non_vectorizable_sweep_never_imports_numpy(self):
+        pytest.importorskip("numpy")
+        out = run_fresh_interpreter(self.SWEEPS.format(block="", more="")).stdout
+        assert "numpy imported: False" in out

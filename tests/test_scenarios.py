@@ -1,6 +1,7 @@
 """Tests for the declarative Scenario API: registries, specs and the runner."""
 
 import json
+import random
 
 import pytest
 
@@ -20,8 +21,10 @@ from repro.scenarios import (
     run_spec,
     sweep,
 )
+from repro.scenarios.builtins import _SCHEDULE_CACHE_SIZE
 from repro.scenarios.registry import Registry
 from repro.utils.validation import ConfigurationError
+from tests.conftest import SCHEDULE_ADVERSARIES, schedule_adversary
 
 #: Values used to satisfy required constructor parameters in bulk tests.
 REQUIRED_PARAM_VALUES = {
@@ -245,6 +248,55 @@ class TestMaterialization:
             algorithm="multi-source",
         )
         assert materialize(spec).problem.sources == materialize(spec).problem.sources
+
+
+class TestSharedSchedules:
+    """Schedule adversaries with equal int-seeded parameters share one
+    immutable schedule; each ``create`` still returns its own adversary."""
+
+    PARAMS = {"num_nodes": 8, "num_rounds": 20, "degree": 4, "seed": 3}
+
+    def create(self, **overrides):
+        return ADVERSARY_REGISTRY.create(
+            "rewiring-regular", **{**self.PARAMS, **overrides}
+        )
+
+    @pytest.mark.parametrize("name", SCHEDULE_ADVERSARIES)
+    def test_equal_parameters_share_the_schedule(self, name):
+        first = schedule_adversary(name, 8, 20, seed=3)
+        second = schedule_adversary(name, 8, 20, seed=3)
+        assert first is not second
+        assert first.schedule is second.schedule
+        assert first.name == second.name == name
+
+    def test_a_different_seed_builds_its_own_schedule(self):
+        assert self.create().schedule is not self.create(seed=4).schedule
+
+    def test_unseeded_and_rng_seeded_schedules_are_never_shared(self):
+        assert self.create(seed=None).schedule is not self.create(seed=None).schedule
+        rng = random.Random(3)
+        first, second = self.create(seed=rng), self.create(seed=rng)
+        assert first.schedule is not second.schedule
+        assert first.schedule != second.schedule  # the first build advanced rng
+
+    def test_a_cached_schedule_never_answers_a_rejected_input(self):
+        self.create(num_nodes=18, num_rounds=1)
+        with pytest.raises(ConfigurationError, match="num_nodes must be an int"):
+            self.create(num_nodes=18.0, num_rounds=1)
+        with pytest.raises(ConfigurationError, match="num_rounds must be an int"):
+            self.create(num_nodes=18, num_rounds=True)
+        # An unhashable value (``--set adversary.rewire_probability=[0.5]``)
+        # bypasses the cache and reaches the generator's own check.
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            self.create(rewire_probability=[0.5])
+
+    def test_the_cache_is_bounded(self):
+        first = self.create(seed=100).schedule
+        for seed in range(101, 101 + _SCHEDULE_CACHE_SIZE):
+            self.create(seed=seed)
+        rebuilt = self.create(seed=100).schedule
+        assert rebuilt is not first
+        assert rebuilt == first
 
 
 class TestRunner:

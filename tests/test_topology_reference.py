@@ -1,11 +1,12 @@
 """Reference equivalence of the bitmask topology path.
 
-The controlled-churn and lower-bound adversaries and the connectivity
-helpers run on integer edge ids and adjacency bitmasks.  This module keeps
-their tuple-based formulations — a dict union-find for components and
-spanning forests, the per-round ``normalize_edge`` churn step and the
-frozenset free-edge test — as test-local references, and checks on seeded
-grids that both produce the same graphs, components and random draws.
+The controlled-churn, lower-bound and schedule-replaying adversaries and
+the connectivity helpers run on integer edge ids and adjacency bitmasks.
+This module keeps their tuple-based formulations — a dict union-find for
+components and spanning forests, the per-round ``normalize_edge`` churn
+step and the frozenset free-edge test — as test-local references, and
+checks on seeded grids that both produce the same graphs, components and
+random draws.  A schedule's ids are checked against its own tuples.
 """
 
 import random
@@ -29,6 +30,7 @@ from repro.dynamics.connectivity import (
 )
 from repro.utils.ids import normalize_edge
 from repro.utils.validation import ConfigurationError
+from tests.conftest import SCHEDULE_ADVERSARIES, schedule_adversary
 
 # ---------------------------------------------------------------------------
 # Tuple-based references
@@ -323,6 +325,52 @@ class TestChurnMatchesTupleReference:
             after = reference_rng.random()
             assert tuples_rng.random() == after
             assert ids_rng.random() == after
+
+
+# ---------------------------------------------------------------------------
+# Schedule replay
+# ---------------------------------------------------------------------------
+
+class TestScheduleIdsMatchTheirTuples:
+    N = 10
+    #: The schedule length; the rounds after it repeat the last graph.
+    ROUNDS = 30
+    PLAYED = range(1, ROUNDS + 6)
+
+    def adversary(self, name):
+        adversary = schedule_adversary(name, self.N, self.ROUNDS, seed=7)
+        adversary.reset(single_source_problem(self.N, 1), random.Random(0))
+        return adversary
+
+    @pytest.mark.parametrize("name", SCHEDULE_ADVERSARIES)
+    def test_ids_encode_the_round_tuples(self, name):
+        adversary = self.adversary(name)
+        index_of = {node: index for index, node in enumerate(adversary.nodes)}
+        previous_edges = previous_ids = None
+        repeats = 0
+        for round_index in self.PLAYED:
+            edges = adversary.edges_for_round(round_index, None)
+            ids = adversary.edge_ids_for_round(round_index, None, index_of)
+            assert ids == {edge_id(index_of[u], index_of[v], self.N) for u, v in edges}
+            if edges == previous_edges:
+                # The kernel skips the delta of an identical id object.
+                assert ids is previous_ids
+                repeats += 1
+            previous_edges, previous_ids = edges, ids
+        assert repeats >= len(self.PLAYED) - self.ROUNDS
+
+    @pytest.mark.parametrize("name", SCHEDULE_ADVERSARIES)
+    def test_foreign_index_map_goes_through_tuples(self, name):
+        adversary = self.adversary(name)
+        n = self.N
+        reversed_index = {
+            node: n - 1 - index for index, node in enumerate(adversary.nodes)
+        }
+        for round_index in self.PLAYED:
+            edges = adversary.edges_for_round(round_index, None)
+            assert adversary.edge_ids_for_round(round_index, None, reversed_index) == {
+                edge_id(reversed_index[u], reversed_index[v], n) for u, v in edges
+            }
 
 
 # ---------------------------------------------------------------------------
