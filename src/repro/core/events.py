@@ -68,7 +68,7 @@ class EventLog:
         """Append a token-learning event and return it."""
         event = TokenLearning(round_index=round_index, node=node, token=token)
         segments = self._segments
-        if segments and segments[-1][0] is SEG_TRIPLES:
+        if segments and segments[-1][0] == SEG_TRIPLES:
             segments[-1][1].append((round_index, node, token))
         else:
             segments.append((SEG_TRIPLES, [(round_index, node, token)]))
@@ -108,9 +108,9 @@ class EventLog:
         count = 0
         for segment in segments:
             tag = segment[0]
-            if tag is SEG_COLUMN:
+            if tag == SEG_COLUMN:
                 count += len(segment[3])
-            elif tag is SEG_PAIRS:
+            elif tag == SEG_PAIRS:
                 count += len(segment[2])
             else:
                 count += len(segment[1])
@@ -128,11 +128,11 @@ class EventLog:
     def _iter_raw(self) -> Iterator[Tuple[int, NodeId, Token]]:
         for segment in self._segments:
             tag = segment[0]
-            if tag is SEG_COLUMN:
+            if tag == SEG_COLUMN:
                 _, round_index, token, indices, nodes = segment
                 for index in indices:
                     yield (round_index, nodes[index], token)
-            elif tag is SEG_PAIRS:
+            elif tag == SEG_PAIRS:
                 _, round_index, pairs = segment
                 for node, token in pairs:
                     yield (round_index, node, token)
@@ -154,10 +154,10 @@ class EventLog:
             per_round = self._per_round = {}
             for segment in self._segments:
                 tag = segment[0]
-                if tag is SEG_COLUMN:
+                if tag == SEG_COLUMN:
                     round_index, amount = segment[1], len(segment[3])
                     per_round[round_index] = per_round.get(round_index, 0) + amount
-                elif tag is SEG_PAIRS:
+                elif tag == SEG_PAIRS:
                     round_index, amount = segment[1], len(segment[2])
                     per_round[round_index] = per_round.get(round_index, 0) + amount
                 else:

@@ -72,7 +72,7 @@ from repro.core.state import (
 )
 from repro.core.tokens import Token
 from repro.dynamics.connectivity import mask_components, toggle_edge_ids
-from repro.dynamics.graph_sequence import EdgeIdTrace
+from repro.dynamics.graph_sequence import DynamicGraphTrace
 from repro.utils.ids import NodeId
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng
 from repro.utils.validation import (
@@ -183,9 +183,11 @@ class CommitStage:
 class AdversaryStage:
     """Stage 2: the adversary fixes ``E_r``; graph state is updated.
 
-    Owns the :class:`~repro.dynamics.graph_sequence.EdgeIdTrace` and the
-    per-node adjacency bitmasks shared by every program (fast programs alias
-    :attr:`adj`, so it is updated in place, never rebound).  Oblivious
+    Owns the execution's
+    :class:`~repro.dynamics.graph_sequence.DynamicGraphTrace`, which it
+    records as the same edge ids it works on (no node tuples per round), and
+    the per-node adjacency bitmasks shared by every program (fast programs
+    alias :attr:`adj`, so it is updated in place, never rebound).  Oblivious
     adversaries never receive an observation — the stage builds one (from
     the program, lazily) only for adaptive adversaries.  The round graph
     arrives as edge ids from
@@ -216,13 +218,10 @@ class AdversaryStage:
         self.observed_fields: Optional[FrozenSet[str]] = getattr(
             adversary, "observed_fields", None
         )
-        n = self.n
-        self.trace = EdgeIdTrace(
-            nodes,
-            lambda eid: (nodes[eid // n], nodes[eid % n]),
-            keep_history=keep_trace,
-        )
-        self.adj: List[int] = [0] * n
+        # ``index_of`` numbers the sorted problem nodes, as the trace numbers
+        # its own sorted node list, so the stage's edge ids are the trace's.
+        self.trace = DynamicGraphTrace(nodes, keep_history=keep_trace)
+        self.adj: List[int] = [0] * self.n
         self._neighbors_view: Optional[Mapping[NodeId, FrozenSet[NodeId]]] = None
         self.inserted_ids: FrozenSet[int] = frozenset()
         self.removed_ids: FrozenSet[int] = frozenset()

@@ -86,7 +86,8 @@ def edge_id(a: int, b: int, n: int) -> int:
 
     ``a`` and ``b`` are dense node *indices*; the id is ``min * n + max``,
     the encoding shared by the kernel's adversary stage, the fast programs'
-    per-edge history and the trace's ``id_to_edge`` inverse.
+    per-edge history and the dynamic-graph trace, which stores each round
+    as these ids.
     """
     return a * n + b if a < b else b * n + a
 
@@ -416,7 +417,7 @@ class BatchKnowledgeState:
             self.tokens[token_bit_index],
         )
         segments = self._lane_pending[lane]
-        if segments and segments[-1][0] is SEG_TRIPLES:
+        if segments and segments[-1][0] == SEG_TRIPLES:
             segments[-1][1].append(triple)
         else:
             segments.append((SEG_TRIPLES, [triple]))

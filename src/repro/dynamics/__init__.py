@@ -6,7 +6,9 @@ provides:
 
 * :class:`~repro.dynamics.graph_sequence.DynamicGraphTrace` — the recorded
   sequence of round graphs of an execution, with inserted/removed edge sets
-  ``E+_r`` / ``E-_r`` and the topological-change count ``TC(E)``;
+  ``E+_r`` / ``E-_r`` and the topological-change count ``TC(E)``; every
+  engine records into it as integer edge ids, decoded to node tuples on
+  demand;
 * :class:`~repro.dynamics.graph_sequence.GraphSchedule` — a pre-committed
   (oblivious) sequence of round graphs;
 * generators for a variety of dynamic-graph workloads;

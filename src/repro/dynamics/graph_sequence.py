@@ -9,16 +9,17 @@ The paper defines (Section 1.3):
 * ``TC(E) = Σ_r |E+_r|`` — the number of topological changes of an execution.
 
 :class:`DynamicGraphTrace` records these quantities as an execution unfolds
-(the adversary may be adaptive, so the trace is only known a posteriori),
-while :class:`GraphSchedule` is a pre-committed sequence of round graphs used
-by oblivious adversaries and by workload generators.
+(the adversary may be adaptive, so the trace is only known a posteriori).
+It is the one trace every engine records into: rounds are stored as integer
+edge ids over positions in its sorted node list and decoded to node tuples
+on demand.  :class:`GraphSchedule` is a pre-committed sequence of round
+graphs used by oblivious adversaries and by workload generators.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -40,6 +41,12 @@ class DynamicGraphTrace:
 
     Rounds are 1-indexed, matching the paper.  Round 0 is the empty graph.
 
+    Each round is stored as integer edge ids ``a * n + b`` (``a < b``
+    positions in the sorted :attr:`nodes`), the encoding the round kernel's
+    adversary stage already works on, so recording a round costs a handful
+    of int operations.  Node-tuple edge sets are decoded lazily, only when a
+    consumer asks for a round graph.
+
     With ``keep_history=False`` the trace maintains only the current round
     graph and the running totals (``TC(E)``, removals): long executions then
     use O(current edges) memory instead of O(rounds x edges), at the price
@@ -49,15 +56,16 @@ class DynamicGraphTrace:
 
     def __init__(self, nodes: Iterable[NodeId], *, keep_history: bool = True):
         self._nodes: List[NodeId] = validate_nodes(nodes)
-        self._node_set: FrozenSet[NodeId] = frozenset(self._nodes)
+        self._index_of: Dict[NodeId, int] = {
+            node: index for index, node in enumerate(self._nodes)
+        }
         self._keep_history = keep_history
-        self._edge_sets: List[FrozenSet[Edge]] = []
-        self._insertions: List[FrozenSet[Edge]] = []
-        self._removals: List[FrozenSet[Edge]] = []
+        self._id_rounds: List[FrozenSet[int]] = []
+        self._decoded: Dict[int, FrozenSet[Edge]] = {}
         self._num_rounds = 0
-        self._current_edges: FrozenSet[Edge] = frozenset()
-        self._current_insertions: FrozenSet[Edge] = frozenset()
-        self._current_removals: FrozenSet[Edge] = frozenset()
+        self._current_ids: FrozenSet[int] = frozenset()
+        self._current_inserted_ids: FrozenSet[int] = frozenset()
+        self._current_removed_ids: FrozenSet[int] = frozenset()
         self._total_insertions = 0
         self._total_removals = 0
 
@@ -81,165 +89,27 @@ class DynamicGraphTrace:
         """Whether per-round edge sets are retained (see ``keep_history``)."""
         return self._keep_history
 
+    # -- recording ---------------------------------------------------------
+
     def record_round(self, edges: Iterable[Edge]) -> FrozenSet[Edge]:
         """Record the edge set of the next round and return it normalized."""
-        edge_set = validate_edges(self._node_set, edges)
-        previous = self._current_edges
-        inserted = frozenset(edge_set - previous)
-        removed = frozenset(previous - edge_set)
-        self._num_rounds += 1
-        self._current_edges = edge_set
-        self._current_insertions = inserted
-        self._current_removals = removed
-        self._total_insertions += len(inserted)
-        self._total_removals += len(removed)
-        if self._keep_history:
-            self._edge_sets.append(edge_set)
-            self._insertions.append(inserted)
-            self._removals.append(removed)
+        edge_set = validate_edges(self._nodes, edges)
+        index_of = self._index_of
+        n = len(self._nodes)
+        ids = frozenset(index_of[u] * n + index_of[v] for u, v in edge_set)
+        previous = self._current_ids
+        self.record_ids(ids, ids - previous, previous - ids)
         return edge_set
-
-    def _check_round(self, round_index: int) -> int:
-        if round_index < 1 or round_index > self._num_rounds:
-            raise SimulationError(
-                f"round {round_index} has not been recorded "
-                f"(recorded rounds: 1..{self._num_rounds})"
-            )
-        if not self._keep_history and round_index != self._num_rounds:
-            raise SimulationError(
-                f"round {round_index} was dropped (keep_history=False retains "
-                f"only the current round {self._num_rounds})"
-            )
-        return round_index
-
-    def _require_history(self, what: str) -> None:
-        if not self._keep_history:
-            raise SimulationError(
-                f"{what} needs the full round history, "
-                "but this trace was recorded with keep_history=False"
-            )
-
-    def edges_in_round(self, round_index: int) -> FrozenSet[Edge]:
-        """``E_r`` for a recorded round ``r`` (``E_0`` is the empty set)."""
-        if round_index == 0:
-            return frozenset()
-        self._check_round(round_index)
-        if not self._keep_history:
-            return self._current_edges
-        return self._edge_sets[round_index - 1]
-
-    def inserted_edges(self, round_index: int) -> FrozenSet[Edge]:
-        """``E+_r = E_r \\ E_{r-1}``."""
-        if round_index == 0:
-            return frozenset()
-        self._check_round(round_index)
-        if not self._keep_history:
-            return self._current_insertions
-        return self._insertions[round_index - 1]
-
-    def removed_edges(self, round_index: int) -> FrozenSet[Edge]:
-        """``E-_r = E_{r-1} \\ E_r``."""
-        if round_index == 0:
-            return frozenset()
-        self._check_round(round_index)
-        if not self._keep_history:
-            return self._current_removals
-        return self._removals[round_index - 1]
-
-    def topological_changes(self, up_to_round: Optional[int] = None) -> int:
-        """``TC(E) = Σ_r |E+_r|`` over the recorded execution (or a prefix)."""
-        if up_to_round is None:
-            return self._total_insertions
-        if up_to_round < 0:
-            raise ConfigurationError("up_to_round must be non-negative")
-        up_to_round = min(up_to_round, self.num_rounds)
-        if up_to_round == self.num_rounds:
-            return self._total_insertions
-        if up_to_round == 0:
-            return 0
-        self._require_history("a topological-changes prefix")
-        return sum(len(self._insertions[r]) for r in range(up_to_round))
-
-    def total_edge_removals(self, up_to_round: Optional[int] = None) -> int:
-        """Total number of edge deletions (always ≤ ``TC(E)`` since ``E_0 = ∅``)."""
-        if up_to_round is None:
-            return self._total_removals
-        up_to_round = min(max(up_to_round, 0), self.num_rounds)
-        if up_to_round == self.num_rounds:
-            return self._total_removals
-        if up_to_round == 0:
-            return 0
-        self._require_history("an edge-removals prefix")
-        return sum(len(self._removals[r]) for r in range(up_to_round))
-
-    def graph(self, round_index: int) -> nx.Graph:
-        """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._nodes)
-        graph.add_edges_from(self.edges_in_round(round_index))
-        return graph
-
-    def neighbors(self, round_index: int) -> Dict[NodeId, FrozenSet[NodeId]]:
-        """Adjacency map of round ``round_index``."""
-        adjacency: Dict[NodeId, Set[NodeId]] = {node: set() for node in self._nodes}
-        for u, v in self.edges_in_round(round_index):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        return {node: frozenset(neigh) for node, neigh in adjacency.items()}
-
-    def edge_lifetime(self, edge: Edge) -> int:
-        """Total number of rounds in which ``edge`` was present."""
-        self._require_history("edge_lifetime")
-        canonical = normalize_edge(*edge)
-        return sum(1 for edge_set in self._edge_sets if canonical in edge_set)
-
-    def as_schedule(self) -> "GraphSchedule":
-        """Freeze the recorded trace into a replayable :class:`GraphSchedule`."""
-        self._require_history("as_schedule")
-        return GraphSchedule(self._nodes, list(self._edge_sets))
-
-    def __len__(self) -> int:
-        return self.num_rounds
-
-    def __repr__(self) -> str:
-        return (
-            f"DynamicGraphTrace(n={self.num_nodes}, rounds={self.num_rounds}, "
-            f"TC={self._total_insertions})"
-        )
-
-
-class EdgeIdTrace(DynamicGraphTrace):
-    """A dynamic-graph trace recorded as integer edge ids.
-
-    The round kernel normalizes each round's edges to ``a * n + b`` ids once
-    (``a < b`` node *indices*); storing those — instead of frozensets of node
-    tuples — keeps the per-round recording cost at a handful of int
-    operations.  Edge tuples are materialized lazily, and cached, only when
-    a consumer actually asks for a round graph, so results carrying this
-    trace satisfy the full :class:`DynamicGraphTrace` query API.
-    """
-
-    def __init__(
-        self,
-        nodes: Iterable[NodeId],
-        id_to_edge: Callable[[int], Edge],
-        *,
-        keep_history: bool = True,
-    ):
-        super().__init__(nodes, keep_history=keep_history)
-        self._id_to_edge = id_to_edge
-        self._id_rounds: List[FrozenSet[int]] = []
-        self._materialized: Dict[int, FrozenSet[Edge]] = {}
-        self._current_ids: FrozenSet[int] = frozenset()
-        self._current_inserted_ids: FrozenSet[int] = frozenset()
-        self._current_removed_ids: FrozenSet[int] = frozenset()
-
-    # -- recording (called by the round kernel) ----------------------------
 
     def record_ids(
         self, ids: FrozenSet[int], inserted: FrozenSet[int], removed: FrozenSet[int]
     ) -> None:
-        """Record the next round's edge ids plus the precomputed delta."""
+        """Record the next round's edge ids plus the precomputed delta.
+
+        The round kernel's per-round path: ``ids`` are canonical edge ids
+        over positions in :attr:`nodes`; with ``previous`` the last round's
+        ids, ``inserted = ids - previous`` and ``removed = previous - ids``.
+        """
         self._num_rounds += 1
         self._total_insertions += len(inserted)
         self._total_removals += len(removed)
@@ -276,11 +146,31 @@ class EdgeIdTrace(DynamicGraphTrace):
         if self._keep_history:
             self._id_rounds.extend(repeat(self._current_ids, count))
 
-    # -- materialization ---------------------------------------------------
+    # -- queries -----------------------------------------------------------
 
-    def _edges_from_ids(self, ids: FrozenSet[int]) -> FrozenSet[Edge]:
-        convert = self._id_to_edge
-        return frozenset(convert(eid) for eid in ids)
+    def _check_round(self, round_index: int) -> None:
+        if round_index < 1 or round_index > self._num_rounds:
+            raise SimulationError(
+                f"round {round_index} has not been recorded "
+                f"(recorded rounds: 1..{self._num_rounds})"
+            )
+        if not self._keep_history and round_index != self._num_rounds:
+            raise SimulationError(
+                f"round {round_index} was dropped (keep_history=False retains "
+                f"only the current round {self._num_rounds})"
+            )
+
+    def _require_history(self, what: str) -> None:
+        if not self._keep_history:
+            raise SimulationError(
+                f"{what} needs the full round history, "
+                "but this trace was recorded with keep_history=False"
+            )
+
+    def _decode(self, ids: FrozenSet[int]) -> FrozenSet[Edge]:
+        nodes = self._nodes
+        n = len(nodes)
+        return frozenset((nodes[eid // n], nodes[eid % n]) for eid in ids)
 
     def _round_ids(self, round_index: int) -> FrozenSet[int]:
         if round_index == 0:
@@ -290,86 +180,109 @@ class EdgeIdTrace(DynamicGraphTrace):
         return self._id_rounds[round_index - 1]
 
     def edges_in_round(self, round_index: int) -> FrozenSet[Edge]:
+        """``E_r`` for a recorded round ``r`` (``E_0`` is the empty set)."""
         if round_index == 0:
             return frozenset()
         self._check_round(round_index)
-        cached = self._materialized.get(round_index)
+        cached = self._decoded.get(round_index)
         if cached is None:
-            cached = self._edges_from_ids(self._round_ids(round_index))
+            cached = self._decode(self._round_ids(round_index))
             if self._keep_history:
-                self._materialized[round_index] = cached
+                self._decoded[round_index] = cached
         return cached
 
     def inserted_edges(self, round_index: int) -> FrozenSet[Edge]:
+        """``E+_r = E_r \\ E_{r-1}``."""
         if round_index == 0:
             return frozenset()
         self._check_round(round_index)
-        if not self._keep_history or round_index == self._num_rounds:
-            return self._edges_from_ids(self._current_inserted_ids)
-        return self._edges_from_ids(
+        if round_index == self._num_rounds:
+            return self._decode(self._current_inserted_ids)
+        return self._decode(
             self._round_ids(round_index) - self._round_ids(round_index - 1)
         )
 
     def removed_edges(self, round_index: int) -> FrozenSet[Edge]:
+        """``E-_r = E_{r-1} \\ E_r``."""
         if round_index == 0:
             return frozenset()
         self._check_round(round_index)
-        if not self._keep_history or round_index == self._num_rounds:
-            return self._edges_from_ids(self._current_removed_ids)
-        return self._edges_from_ids(
+        if round_index == self._num_rounds:
+            return self._decode(self._current_removed_ids)
+        return self._decode(
             self._round_ids(round_index - 1) - self._round_ids(round_index)
         )
 
+    def _prefix_totals(self, up_to_round: int, what: str) -> Tuple[int, int]:
+        """Insertions and removals over rounds ``1..up_to_round`` (clamped)."""
+        up_to_round = min(up_to_round, self._num_rounds)
+        if up_to_round == self._num_rounds:
+            return self._total_insertions, self._total_removals
+        if up_to_round == 0:
+            return 0, 0
+        self._require_history(what)
+        insertions = removals = 0
+        previous: FrozenSet[int] = frozenset()
+        for current in self._id_rounds[:up_to_round]:
+            insertions += len(current - previous)
+            removals += len(previous - current)
+            previous = current
+        return insertions, removals
+
     def topological_changes(self, up_to_round: Optional[int] = None) -> int:
+        """``TC(E) = Σ_r |E+_r|`` over the recorded execution (or a prefix)."""
         if up_to_round is None:
             return self._total_insertions
         if up_to_round < 0:
             raise ConfigurationError("up_to_round must be non-negative")
-        up_to_round = min(up_to_round, self.num_rounds)
-        if up_to_round == self.num_rounds:
-            return self._total_insertions
-        if up_to_round == 0:
-            return 0
-        self._require_history("a topological-changes prefix")
-        total = 0
-        previous: FrozenSet[int] = frozenset()
-        for index in range(up_to_round):
-            current = self._id_rounds[index]
-            total += len(current - previous)
-            previous = current
-        return total
+        return self._prefix_totals(up_to_round, "a topological-changes prefix")[0]
 
     def total_edge_removals(self, up_to_round: Optional[int] = None) -> int:
+        """Total number of edge deletions (always ≤ ``TC(E)`` since ``E_0 = ∅``)."""
         if up_to_round is None:
             return self._total_removals
-        up_to_round = min(max(up_to_round, 0), self.num_rounds)
-        if up_to_round == self.num_rounds:
-            return self._total_removals
-        if up_to_round == 0:
-            return 0
-        self._require_history("an edge-removals prefix")
-        total = 0
-        previous: FrozenSet[int] = frozenset()
-        for index in range(up_to_round):
-            current = self._id_rounds[index]
-            total += len(previous - current)
-            previous = current
-        return total
+        return self._prefix_totals(max(up_to_round, 0), "an edge-removals prefix")[1]
+
+    def graph(self, round_index: int) -> nx.Graph:
+        """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes)."""
+        graph = nx.Graph()
+        graph.add_nodes_from(self._nodes)
+        graph.add_edges_from(self.edges_in_round(round_index))
+        return graph
+
+    def neighbors(self, round_index: int) -> Dict[NodeId, FrozenSet[NodeId]]:
+        """Adjacency map of round ``round_index``."""
+        adjacency: Dict[NodeId, Set[NodeId]] = {node: set() for node in self._nodes}
+        for u, v in self.edges_in_round(round_index):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        return {node: frozenset(neigh) for node, neigh in adjacency.items()}
 
     def edge_lifetime(self, edge: Edge) -> int:
+        """Total number of rounds in which ``edge`` was present."""
         self._require_history("edge_lifetime")
-        canonical = normalize_edge(*edge)
-        return sum(
-            1
-            for index in range(1, self.num_rounds + 1)
-            if canonical in self.edges_in_round(index)
-        )
+        u, v = normalize_edge(*edge)
+        index_of = self._index_of
+        if u not in index_of or v not in index_of:
+            return 0
+        eid = index_of[u] * len(self._nodes) + index_of[v]
+        return sum(1 for ids in self._id_rounds if eid in ids)
 
     def as_schedule(self) -> "GraphSchedule":
+        """Freeze the recorded trace into a replayable :class:`GraphSchedule`."""
         self._require_history("as_schedule")
         return GraphSchedule(
-            self.nodes,
-            [self.edges_in_round(index) for index in range(1, self.num_rounds + 1)],
+            self._nodes,
+            [self.edges_in_round(index) for index in range(1, self._num_rounds + 1)],
+        )
+
+    def __len__(self) -> int:
+        return self.num_rounds
+
+    def __repr__(self) -> str:
+        return (
+            f"DynamicGraphTrace(n={self.num_nodes}, rounds={self.num_rounds}, "
+            f"TC={self._total_insertions})"
         )
 
 

@@ -9,24 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
-from typing import Dict, FrozenSet, List, Sequence, Union
+from typing import Dict, FrozenSet, List, Union
 
 from repro.dynamics.connectivity import is_connected
 from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
-from repro.dynamics.stability import minimum_edge_stability
+from repro.dynamics.stability import minimum_edge_stability, round_edge_sets
 from repro.utils.ids import Edge, NodeId
 
 Source = Union[DynamicGraphTrace, GraphSchedule]
-
-
-def _rounds(source: Source) -> List[FrozenSet[Edge]]:
-    if isinstance(source, DynamicGraphTrace):
-        return [source.edges_in_round(r) for r in range(1, source.num_rounds + 1)]
-    return [edges for _, edges in source.iter_rounds()]
-
-
-def _nodes(source: Source) -> List[NodeId]:
-    return source.nodes
 
 
 @dataclass(frozen=True)
@@ -64,8 +54,8 @@ class ScheduleSummary:
 
 def degree_statistics(source: Source) -> DegreeStatistics:
     """Degree statistics aggregated over all rounds."""
-    rounds = _rounds(source)
-    nodes = _nodes(source)
+    rounds = round_edge_sets(source)
+    nodes = source.nodes
     if not rounds:
         return DegreeStatistics(0, 0, 0.0, 0.0)
     min_degree = len(nodes)
@@ -90,7 +80,7 @@ def degree_statistics(source: Source) -> DegreeStatistics:
 
 def churn_statistics(source: Source) -> ChurnStatistics:
     """Edge insertion/deletion statistics (``TC`` is ``total_insertions``)."""
-    rounds = _rounds(source)
+    rounds = round_edge_sets(source)
     previous: FrozenSet[Edge] = frozenset()
     insertions: List[int] = []
     deletions: List[int] = []
@@ -111,8 +101,8 @@ def churn_statistics(source: Source) -> ChurnStatistics:
 
 def schedule_summary(source: Source) -> ScheduleSummary:
     """Full structural summary used in experiment reports."""
-    rounds = _rounds(source)
-    nodes = _nodes(source)
+    rounds = round_edge_sets(source)
+    nodes = source.nodes
     always_connected = all(is_connected(nodes, edges) for edges in rounds)
     return ScheduleSummary(
         num_nodes=len(nodes),

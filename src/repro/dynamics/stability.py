@@ -17,7 +17,8 @@ from repro.utils.validation import ConfigurationError, require_positive_int
 RoundGraphSource = Union[DynamicGraphTrace, GraphSchedule, Sequence[Set[Edge]]]
 
 
-def _edge_sets(source: RoundGraphSource) -> List[FrozenSet[Edge]]:
+def round_edge_sets(source: RoundGraphSource) -> List[FrozenSet[Edge]]:
+    """The edge set of every round of a trace, a schedule or a plain sequence."""
     if isinstance(source, DynamicGraphTrace):
         return [source.edges_in_round(r) for r in range(1, source.num_rounds + 1)]
     if isinstance(source, GraphSchedule):
@@ -56,7 +57,7 @@ def minimum_edge_stability(source: RoundGraphSource) -> int:
     every σ and :data:`UNBOUNDED_STABILITY` is returned.  An empty sequence
     reports 1 (every dynamic graph is 1-edge stable).
     """
-    edge_sets = _edge_sets(source)
+    edge_sets = round_edge_sets(source)
     if not edge_sets:
         return 1
     runs = _presence_runs(edge_sets)

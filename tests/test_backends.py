@@ -1,6 +1,8 @@
 """Tests for the pluggable execution backends and the differential harness."""
 
 import json
+import multiprocessing
+import pickle
 import random
 
 import pytest
@@ -345,6 +347,49 @@ class TestDiffResults:
     def test_equal_results_produce_no_differences(self):
         spec = bitset_spec()
         assert diff_results(run_scenario(spec), run_scenario(spec)) == []
+
+
+class TestResultsCrossProcesses:
+    """Execution results hold no closures: they pickle on every backend, so
+    ``multiprocessing.Pool.map(run_scenario, specs)`` works."""
+
+    @pytest.mark.parametrize("backend", ["reference", "bitset", "batch"])
+    def test_result_round_trips_through_pickle(self, backend):
+        if backend == "batch":
+            pytest.importorskip("numpy")
+        result = run_scenario(bitset_spec(backend=backend))
+        restored = pickle.loads(pickle.dumps(result))
+        assert diff_results(result, restored) == []
+        assert restored.events.events == result.events.events
+        assert restored.trace.as_schedule() == result.trace.as_schedule()
+
+    def test_batch_results_round_trip_through_pickle(self):
+        pytest.importorskip("numpy")
+        from repro.batch.backend import BatchBackend
+
+        spec = bitset_spec(
+            algorithm="flooding",
+            adversary="static-random",
+            adversary_params={"num_nodes": 10},
+            backend="batch",
+            repetitions=3,
+        )
+        results = BatchBackend().run_batch(spec)
+        assert len(results) == 3
+        for result in results:
+            assert diff_results(result, pickle.loads(pickle.dumps(result))) == []
+
+    def test_pool_map_matches_serial_runs(self):
+        specs = [
+            bitset_spec(backend=backend, seed=seed)
+            for backend in ("reference", "bitset")
+            for seed in (5, 6)
+        ]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            parallel = pool.map_async(run_scenario, specs).get(timeout=120)
+        assert len(parallel) == len(specs)
+        for spec, result in zip(specs, parallel):
+            assert diff_results(run_scenario(spec), result) == []
 
 
 class TestSpecBackendField:

@@ -31,7 +31,7 @@ from repro.core.events import (
 from repro.core.problem import single_source_problem
 from repro.core.state import BatchKnowledgeState
 from repro.core.tokens import Token
-from repro.dynamics.graph_sequence import EdgeIdTrace
+from repro.dynamics.graph_sequence import DynamicGraphTrace
 from repro.scenarios import ScenarioSpec, run_spec
 from repro.scenarios.registry import ADVERSARY_REGISTRY
 from repro.scenarios.runner import record_from_result, repetition_seed
@@ -246,7 +246,7 @@ class TestSteadyTopology:
 
     def test_record_unchanged_many_equals_repeated_record_unchanged(self):
         def trace():
-            return EdgeIdTrace((0, 1), lambda eid: (0, 1), keep_history=True)
+            return DynamicGraphTrace((0, 1), keep_history=True)
 
         ids = frozenset({1})
         many, repeated = trace(), trace()

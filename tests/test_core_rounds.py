@@ -520,7 +520,7 @@ class TestAccountingParity:
         assert mapping_result.events.events == bitset_result.events.events
 
 
-class TestEdgeIdTrace:
+class TestKernelTrace:
     def test_edge_lifetime_normalizes_reversed_edges(self):
         problem = single_source_problem(6, 3)
         kernel = RoundKernel(

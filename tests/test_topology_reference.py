@@ -1,12 +1,14 @@
 """Reference equivalence of the bitmask topology path.
 
-The controlled-churn, lower-bound and schedule-replaying adversaries and
-the connectivity helpers run on integer edge ids and adjacency bitmasks.
-This module keeps their tuple-based formulations — a dict union-find for
-components and spanning forests, the per-round ``normalize_edge`` churn
-step and the frozenset free-edge test — as test-local references, and
-checks on seeded grids that both produce the same graphs, components and
-random draws.  A schedule's ids are checked against its own tuples.
+The controlled-churn, lower-bound and schedule-replaying adversaries, the
+connectivity helpers and the dynamic-graph trace run on integer edge ids
+and adjacency bitmasks.  This module keeps their tuple-based formulations —
+a dict union-find for components and spanning forests, the per-round
+``normalize_edge`` churn step, the frozenset free-edge test and a trace
+that records frozensets of node tuples — as test-local references, and
+checks on seeded grids that both produce the same graphs, components,
+random draws and trace queries.  A schedule's ids are checked against its
+own tuples.
 """
 
 import random
@@ -28,8 +30,9 @@ from repro.dynamics.connectivity import (
     mask_spanning_forest,
     spanning_forest,
 )
-from repro.utils.ids import normalize_edge
-from repro.utils.validation import ConfigurationError
+from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
+from repro.utils.ids import normalize_edge, validate_edges, validate_nodes
+from repro.utils.validation import ConfigurationError, SimulationError
 from tests.conftest import SCHEDULE_ADVERSARIES, schedule_adversary
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,115 @@ class ReferenceLowerBound:
             )
         )
         return forest | connectors
+
+
+class ReferenceTrace:
+    """The dynamic-graph trace on frozensets of node tuples: every round
+    keeps its edge set and its inserted and removed sets."""
+
+    def __init__(self, nodes, *, keep_history=True):
+        self.nodes = validate_nodes(nodes)
+        self.keep_history = keep_history
+        self.edge_sets, self.insertions, self.removals = [], [], []
+        self.num_rounds = 0
+        self.current = self.current_inserted = self.current_removed = frozenset()
+        self.total_insertions = self.total_removals = 0
+
+    def record_round(self, edges):
+        edge_set = validate_edges(self.nodes, edges)
+        inserted = edge_set - self.current
+        removed = self.current - edge_set
+        self.num_rounds += 1
+        self.current = edge_set
+        self.current_inserted, self.current_removed = inserted, removed
+        self.total_insertions += len(inserted)
+        self.total_removals += len(removed)
+        if self.keep_history:
+            self.edge_sets.append(edge_set)
+            self.insertions.append(inserted)
+            self.removals.append(removed)
+        return edge_set
+
+    def check_round(self, round_index):
+        if round_index < 1 or round_index > self.num_rounds:
+            raise SimulationError(
+                f"round {round_index} has not been recorded "
+                f"(recorded rounds: 1..{self.num_rounds})"
+            )
+        if not self.keep_history and round_index != self.num_rounds:
+            raise SimulationError(
+                f"round {round_index} was dropped (keep_history=False retains "
+                f"only the current round {self.num_rounds})"
+            )
+
+    def require_history(self, what):
+        if not self.keep_history:
+            raise SimulationError(
+                f"{what} needs the full round history, "
+                "but this trace was recorded with keep_history=False"
+            )
+
+    def _round_set(self, round_index, history, current):
+        if round_index == 0:
+            return frozenset()
+        self.check_round(round_index)
+        return history[round_index - 1] if self.keep_history else current
+
+    def edges_in_round(self, round_index):
+        return self._round_set(round_index, self.edge_sets, self.current)
+
+    def inserted_edges(self, round_index):
+        return self._round_set(round_index, self.insertions, self.current_inserted)
+
+    def removed_edges(self, round_index):
+        return self._round_set(round_index, self.removals, self.current_removed)
+
+    def _prefix(self, up_to_round, total, per_round, what):
+        up_to_round = min(up_to_round, self.num_rounds)
+        if up_to_round == self.num_rounds:
+            return total
+        if up_to_round == 0:
+            return 0
+        self.require_history(what)
+        return sum(len(per_round[r]) for r in range(up_to_round))
+
+    def topological_changes(self, up_to_round=None):
+        if up_to_round is None:
+            return self.total_insertions
+        if up_to_round < 0:
+            raise ConfigurationError("up_to_round must be non-negative")
+        return self._prefix(
+            up_to_round,
+            self.total_insertions,
+            self.insertions,
+            "a topological-changes prefix",
+        )
+
+    def total_edge_removals(self, up_to_round=None):
+        if up_to_round is None:
+            return self.total_removals
+        return self._prefix(
+            max(up_to_round, 0),
+            self.total_removals,
+            self.removals,
+            "an edge-removals prefix",
+        )
+
+    def neighbors(self, round_index):
+        adjacency = {node: set() for node in self.nodes}
+        for u, v in self.edges_in_round(round_index):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        return {node: frozenset(neigh) for node, neigh in adjacency.items()}
+
+    def edge_lifetime(self, edge):
+        self.require_history("edge_lifetime")
+        canonical = normalize_edge(*edge)
+        return sum(1 for edge_set in self.edge_sets if canonical in edge_set)
+
+    def as_schedule(self):
+        self.require_history("as_schedule")
+        return GraphSchedule(self.nodes, list(self.edge_sets))
 
 
 def random_graph(rng, nodes, edge_probability):
@@ -529,3 +641,148 @@ class TestLowerBoundMatchesTupleReference:
         assert foreign.edge_ids_for_round(1, observation, reversed_index) == {
             edge_id(reversed_index[u], reversed_index[v], len(nodes)) for u, v in edges
         }
+
+
+# ---------------------------------------------------------------------------
+# Dynamic-graph trace
+# ---------------------------------------------------------------------------
+
+
+def random_round_sequence(rng):
+    """1-9 nodes with non-contiguous ids (in shuffled order) and 1-40 round
+    graphs, mixing fresh, repeated and empty rounds."""
+    nodes = rng.sample(range(3, 60), rng.randint(1, 9))
+    density = rng.choice((0.1, 0.4, 0.8))
+    rounds = []
+    for _ in range(rng.randint(1, 40)):
+        draw = rng.random()
+        if draw < 0.3 and rounds:
+            rounds.append(rounds[-1])
+        elif draw < 0.4:
+            rounds.append(frozenset())
+        else:
+            rounds.append(frozenset(random_graph(rng, sorted(nodes), density)))
+    return nodes, rounds
+
+
+#: The trace queries that take a round index (a prefix length for the two
+#: totals).
+ROUND_QUERIES = (
+    "edges_in_round",
+    "inserted_edges",
+    "removed_edges",
+    "neighbors",
+    "topological_changes",
+    "total_edge_removals",
+)
+
+
+def outcome(query, *args):
+    """A query's value, or the type and message of the error it raised."""
+    try:
+        return "value", query(*args)
+    except (ConfigurationError, SimulationError) as error:
+        return type(error), str(error)
+
+
+class TestTraceMatchesTupleReference:
+    SEQUENCES = 40
+    WAYS = ("record_round", "record_ids", "record_unchanged")
+
+    def sequences(self):
+        rng = random.Random(2019)
+        yield [3, 7, 10, 42], [
+            frozenset({(3, 7), (10, 42)}),
+            frozenset({(3, 7), (10, 42)}),
+            frozenset(),
+            frozenset(),
+            frozenset({(3, 42), (7, 10)}),
+        ]
+        for _ in range(self.SEQUENCES):
+            yield random_round_sequence(rng)
+
+    @staticmethod
+    def record(trace, rounds, way, rng):
+        """Record ``rounds`` into ``trace`` one of three ways, yielding the
+        number of rounds recorded after each recording call."""
+        positions = {node: index for index, node in enumerate(sorted(trace.nodes))}
+        n = len(positions)
+        previous = frozenset()
+        pending = 0
+        for edges in rounds:
+            if way == "record_round":
+                # Either orientation, sometimes twice: the trace normalizes.
+                given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+                assert trace.record_round(given + given[:1]) == edges
+                yield trace.num_rounds
+                continue
+            ids = frozenset(positions[u] * n + positions[v] for u, v in edges)
+            if way == "record_unchanged" and ids == previous:
+                if rng.random() < 0.5:
+                    trace.record_unchanged()
+                    yield trace.num_rounds
+                else:
+                    pending += 1
+                continue
+            if pending:
+                trace.record_unchanged_many(pending)
+                pending = 0
+                yield trace.num_rounds
+            trace.record_ids(ids, ids - previous, previous - ids)
+            previous = ids
+            yield trace.num_rounds
+        if pending:
+            trace.record_unchanged_many(pending)
+            yield trace.num_rounds
+
+    @staticmethod
+    def assert_queries_match(trace, reference):
+        rounds = reference.num_rounds
+        assert trace.num_rounds == len(trace) == rounds
+        assert trace.topological_changes() == reference.topological_changes()
+        assert trace.total_edge_removals() == reference.total_edge_removals()
+        assert repr(trace).endswith(f"TC={reference.total_insertions})")
+        for round_index in range(-1, rounds + 2):
+            for name in ROUND_QUERIES:
+                assert outcome(getattr(trace, name), round_index) == outcome(
+                    getattr(reference, name), round_index
+                ), (name, round_index)
+        nodes = reference.nodes
+        edges = [(u, v) for u in nodes for v in nodes] + [(nodes[0], 1000)]
+        for edge in edges:
+            assert outcome(trace.edge_lifetime, edge) == outcome(
+                reference.edge_lifetime, edge
+            ), edge
+        assert outcome(trace.as_schedule) == outcome(reference.as_schedule)
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    @pytest.mark.parametrize("way", WAYS)
+    def test_every_query_matches_the_reference(self, way, keep_history):
+        rng = random.Random(len(way) * 2 + keep_history)
+        for nodes, rounds in self.sequences():
+            trace = DynamicGraphTrace(nodes, keep_history=keep_history)
+            reference = ReferenceTrace(nodes, keep_history=keep_history)
+            self.assert_queries_match(trace, reference)
+            for recorded in self.record(trace, rounds, way, rng):
+                while reference.num_rounds < recorded:
+                    reference.record_round(rounds[reference.num_rounds])
+                current = reference.num_rounds
+                assert trace.edges_in_round(current) == reference.edges_in_round(current)
+                assert trace.inserted_edges(current) == reference.inserted_edges(current)
+                assert trace.removed_edges(current) == reference.removed_edges(current)
+                assert trace.topological_changes() == reference.topological_changes()
+            assert reference.num_rounds == len(rounds)
+            self.assert_queries_match(trace, reference)
+
+    def test_invalid_input_raises_like_the_reference(self):
+        for nodes in ([], [1, 1], [0, True]):
+            assert outcome(DynamicGraphTrace, nodes) == outcome(ReferenceTrace, nodes)
+        trace = DynamicGraphTrace([3, 7, 10])
+        reference = ReferenceTrace([3, 7, 10])
+        for edges in ([(3, 5)], [(7, 7)], [(3, 7), (10, 11)]):
+            assert outcome(trace.record_round, edges) == outcome(
+                reference.record_round, edges
+            )
+            # A rejected round records nothing.
+            assert trace.num_rounds == reference.num_rounds == 0
+            assert trace.topological_changes() == 0
