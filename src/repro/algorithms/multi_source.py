@@ -304,14 +304,39 @@ class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
         return lambda kernel: _MultiSourceFastProgram(kernel, self)
 
 
+def _completeness_extra(
+    nodes: Sequence[NodeId],
+    sources: Sequence[NodeId],
+    catalog_masks: Sequence[int],
+    know: Sequence[int],
+) -> Dict[str, object]:
+    """:meth:`MultiSourceUnicastAlgorithm.observation_extra` read off the
+    knowledge masks: a node is complete w.r.t. a source when its mask
+    covers the source's catalog mask."""
+    return {
+        "catalog_sources": tuple(sources),
+        "complete_wrt": {
+            node: tuple(
+                source
+                for source, mask in zip(sources, catalog_masks)
+                if know[v] & mask == mask
+            )
+            for v, node in enumerate(nodes)
+        },
+    }
+
+
 class _MultiSourceFastProgram(FastRoundProgram):
     """Multi-Source-Unicast (Section 3.2.1) on bitmask state.
 
     Mirrors :class:`MultiSourceUnicastAlgorithm` with the default catalog:
-    per-source completeness masks (``I_v`` as a source-index bitmask,
-    ``R_v(x)`` / ``S_v(x)`` as node bitmasks per source), the three per-round
-    tasks in the paper's order, and the same request bookkeeping as the
-    single-source fast program.
+    ``I_v`` as a source-index bitmask, ``S_v(x)`` as a node bitmask per
+    source, and ``R_v(x)`` turned around into one source bitmask per edge
+    (``told[v][u]``: the sources ``v`` has announced to ``u``), so the
+    minimum unannounced source on an edge is the lowest bit of
+    ``I_v & ~told[v][u]``.  The three per-round tasks run in the paper's
+    order, with the same request bookkeeping as the single-source fast
+    program.
 
     ``catalog`` overrides the source catalog (the oblivious two-phase
     program hands in the center catalog fixed at its phase transition);
@@ -340,14 +365,15 @@ class _MultiSourceFastProgram(FastRoundProgram):
             else tokens_by_source(problem.tokens)
         )
         self.sources: List[NodeId] = sorted(catalog)
-        s = self.s = len(self.sources)
-        self.catalog_bits: List[Tuple[int, ...]] = [
-            tuple(sorted(token_index[token] for token in catalog[source]))
-            for source in self.sources
-        ]
-        self.catalog_mask: List[int] = [
-            sum(1 << bit for bit in bits) for bits in self.catalog_bits
-        ]
+        s = len(self.sources)
+        self.catalog_mask: List[int] = [0] * s
+        #: The catalog source (index) of every token bit.
+        self.source_of: List[int] = [0] * self.k
+        for x, source in enumerate(self.sources):
+            for token in catalog[source]:
+                bit = token_index[token]
+                self.catalog_mask[x] |= 1 << bit
+                self.source_of[bit] = x
         n = self.n
         know = self.state.know
         self.complete_wrt: List[int] = [0] * n  # bit x = complete w.r.t. sources[x]
@@ -359,46 +385,32 @@ class _MultiSourceFastProgram(FastRoundProgram):
                 if know_v & catalog_mask == catalog_mask:
                     mask |= 1 << x
             self.complete_wrt[v] = mask
-        self.informed: List[List[int]] = [[0] * s for _ in range(n)]
+        self.told: List[List[int]] = [[0] * n for _ in range(n)]
+        #: Neighbours ``v`` has told every source in ``I_v``: a cache of
+        #: ``told[v][u] == complete_wrt[v]``, cleared when ``I_v`` grows.
+        self.told_all: List[int] = [0] * n
         self.known_complete: List[List[int]] = [[0] * s for _ in range(n)]
+        #: Sources ``x`` with a non-empty ``S_v(x)``, as a source bitmask.
+        self.known_sources: List[int] = [0] * n
         self.answers: List[Dict[int, int]] = [{} for _ in range(n)]
         self.req_prev: List[Optional[Dict[int, int]]] = [None] * n
 
     def observation_extra(self) -> Dict[str, object]:
-        sources = self.sources
-        nodes = self.nodes
-        return {
-            "catalog_sources": tuple(sources),
-            "complete_wrt": {
-                nodes[v]: tuple(
-                    sources[x] for x in range(self.s) if (self.complete_wrt[v] >> x) & 1
-                )
-                for v in range(self.n)
-            },
-        }
-
-    def _update_completeness(self, node_index: int) -> None:
-        """Mirror of ``on_learn``: refresh ``I_v`` after a new token."""
-        mask = self.complete_wrt[node_index]
-        know_v = self.state.know[node_index]
-        for x in range(self.s):
-            if (mask >> x) & 1:
-                continue
-            catalog_mask = self.catalog_mask[x]
-            if know_v & catalog_mask == catalog_mask:
-                mask |= 1 << x
-        self.complete_wrt[node_index] = mask
+        return _completeness_extra(
+            self.nodes, self.sources, self.catalog_mask, self.state.know
+        )
 
     def deliver(self, round_index: int, commitment) -> None:
         n = self.n
-        s = self.s
         adj = self.adj
         state = self.state
         know = state.know
-        full = self.full_mask
         complete_wrt = self.complete_wrt
-        informed = self.informed
+        told = self.told
+        told_all = self.told_all
         known_complete = self.known_complete
+        known_sources = self.known_sources
+        catalog_mask = self.catalog_mask
         answers = self.answers
         req_prev = self.req_prev
         req_cur: List[Optional[Dict[int, int]]] = [None] * n
@@ -419,27 +431,26 @@ class _MultiSourceFastProgram(FastRoundProgram):
             outbox: Dict[int, List[Tuple[int, int]]] = {}
 
             # Task 1: completeness announcements (minimum unannounced source
-            # per edge, in increasing source order).
+            # per edge) to the neighbours not yet told all of I_v.
             cw = complete_wrt[v]
-            if cw and neighbors:
-                informed_v = informed[v]
-                to_visit = neighbors
+            to_visit = neighbors & ~told_all[v]
+            if cw and to_visit:
+                told_v = told[v]
                 while to_visit:
                     low = to_visit & -to_visit
                     u = low.bit_length() - 1
                     to_visit ^= low
-                    remaining = cw
-                    while remaining:
-                        low_x = remaining & -remaining
-                        x = low_x.bit_length() - 1
-                        remaining ^= low_x
-                        if (informed_v[x] >> u) & 1:
-                            continue
-                        informed_v[x] |= 1 << u
+                    unannounced = cw & ~told_v[u]
+                    low_x = unannounced & -unannounced
+                    if low_x == unannounced:
+                        told_all[v] |= low
+                    if unannounced:
+                        told_v[u] |= low_x
                         completeness_count += 1
                         per_node[v] += 1
-                        outbox.setdefault(u, []).append((_TAG_COMPLETENESS, x))
-                        break
+                        outbox.setdefault(u, []).append(
+                            (_TAG_COMPLETENESS, low_x.bit_length() - 1)
+                        )
 
             # Task 2: answer the requests received in the previous round.
             pending_answers = answers[v]
@@ -454,34 +465,26 @@ class _MultiSourceFastProgram(FastRoundProgram):
                         token_count += 1
                         per_node[v] += 1
                         outbox.setdefault(u, []).append((_TAG_TOKEN, answer))
-            answers[v] = {}
+                answers[v] = {}
 
-            # Task 3: request tokens of the highest-priority incomplete source.
-            active = -1
-            known_complete_v = known_complete[v]
-            for x in range(s):
-                if (cw >> x) & 1:
-                    continue
-                if known_complete_v[x]:
-                    active = x
-                    break
-            if active >= 0:
-                pending_mask = self.pending_request_mask(req_prev[v], neighbors)
-                know_v = know[v]
-                missing = [
-                    bit
-                    for bit in self.catalog_bits[active]
-                    if not (know_v >> bit) & 1 and not (pending_mask >> bit) & 1
-                ]
+            # Task 3: request tokens of the highest-priority incomplete source
+            # (the minimum x not in I_v with a known complete node).
+            candidates = known_sources[v] & ~cw
+            if candidates:
+                low_x = candidates & -candidates
+                active = low_x.bit_length() - 1
+                missing = catalog_mask[active] & ~know[v]
                 if missing:
-                    complete_neighbors = neighbors & known_complete_v[active]
+                    missing &= ~self.pending_request_mask(req_prev[v], neighbors)
+                complete_neighbors = neighbors & known_complete[v][active]
+                if missing and complete_neighbors:
                     sent: Optional[Dict[int, int]] = None
-                    for position, u in enumerate(
-                        self.prioritized_edges(v, complete_neighbors, round_index)
-                    ):
-                        if position >= len(missing):
+                    for u in self.prioritized_edges(v, complete_neighbors, round_index):
+                        if not missing:
                             break
-                        bit = missing[position]
+                        low = missing & -missing
+                        missing ^= low
+                        bit = low.bit_length() - 1
                         request_count += 1
                         per_node[v] += 1
                         outbox.setdefault(u, []).append((_TAG_REQUEST, bit))
@@ -489,6 +492,8 @@ class _MultiSourceFastProgram(FastRoundProgram):
                             sent = req_cur[v] = {}
                         sent[u] = bit
 
+            if not outbox:
+                continue
             # Flush in ascending-receiver order (the kernel's delivery order).
             for u in sorted(outbox):
                 box = deliveries[u]
@@ -516,6 +521,7 @@ class _MultiSourceFastProgram(FastRoundProgram):
                         )
 
         learn_index = state.learn_index
+        source_of = self.source_of
         for u in range(n):
             box = deliveries[u]
             if not box:
@@ -523,14 +529,18 @@ class _MultiSourceFastProgram(FastRoundProgram):
             for sender, tag, value in box:
                 if tag == _TAG_COMPLETENESS:
                     known_complete[u][value] |= 1 << sender
+                    known_sources[u] |= 1 << value
                 elif tag == _TAG_TOKEN:
                     if learn_index(u, value):
                         eid = edge_id(u, sender, n)
                         edge_token_round[eid] = round_index
-                        if know[u] != full:
-                            self._update_completeness(u)
-                        else:
-                            complete_wrt[u] = (1 << s) - 1
+                        # Mirror of on_learn: only the token's own source
+                        # can become complete.
+                        x = source_of[value]
+                        mask = catalog_mask[x]
+                        if know[u] & mask == mask:
+                            complete_wrt[u] |= 1 << x
+                            told_all[u] = 0
                 else:  # _TAG_REQUEST
                     answers[u][sender] = value
 

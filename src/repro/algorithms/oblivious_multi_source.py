@@ -19,7 +19,7 @@ Theorem 3.8: the total message complexity is ``O(n^{5/2} k^{1/4} log^{5/4}
 n)``, i.e. ``O(n^{5/2} log^{5/4} n / k^{3/4})`` amortized — subquadratic as
 soon as ``k = ω(n^{2/3})`` (Table 1).
 
-Implementation notes (documented in DESIGN.md):
+Implementation notes (see "Algorithm 2 implementation notes" in README.md):
 
 * the pseudocode's per-token move probability (``1/d(u)``) and the prose
   (``δ_v/n``, i.e. a step on the virtual n-regular multigraph) differ; we
@@ -37,11 +37,13 @@ Implementation notes (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.multi_source import (
+    _KIND_TOKEN,
     MultiSourceUnicastAlgorithm,
     _MultiSourceFastProgram,
+    _completeness_extra,
 )
 from repro.algorithms.random_walks import (
     RandomWalkDisseminator,
@@ -52,7 +54,7 @@ from repro.algorithms.random_walks import (
 from repro.core.messages import Payload, ReceivedMessage, TokenMessage
 from repro.core.observation import SentRecord
 from repro.core.rounds import FastRoundProgram
-from repro.core.state import edge_id
+from repro.core.state import bit_indices, edge_id
 from repro.core.tokens import Token
 from repro.utils.ids import NodeId
 from repro.utils.validation import ConfigurationError, require_positive_int
@@ -84,6 +86,7 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
         self._force_two_phase = force_two_phase
         self._phase = 2
         self._walker: Optional[RandomWalkDisseminator] = None
+        self._centers: FrozenSet[NodeId] = frozenset()
         self._phase1_rounds = 0
         self._phase1_round_limit = 0
         self._phase1_messages = 0
@@ -102,6 +105,7 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
         )
         self._phase1_rounds = 0
         self._phase1_messages = 0
+        self._centers = frozenset()
         if not use_two_phase or n < 2:
             self._phase = 2
             self._walker = None
@@ -114,6 +118,7 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
         centers = {node for node in self.nodes if self.rng.random() < probability}
         if not centers:
             centers = {self.rng.choice(list(self.nodes))}
+        self._centers = frozenset(centers)
         # The high-degree threshold is γ = n·log n / f (a high-degree node has
         # a neighbouring center w.h.p.).  Derive it from the *actual* expected
         # number of centers so that overriding center_probability keeps the
@@ -151,8 +156,17 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
     def _start_phase_two(self) -> None:
         if self._walker is None:
             raise ConfigurationError("phase transition without a phase-1 walker")
-        ownership = self._walker.force_delivery_in_place()
-        self.configure_catalog({center: tuple(tokens) for center, tokens in ownership.items()})
+        self._enter_phase_two(self._walker.force_delivery_in_place())
+
+    def _enter_phase_two(self, ownership: Mapping[NodeId, Sequence[Token]]) -> None:
+        """End phase 1 with ``ownership``, each token's owner after forced delivery.
+
+        An owner is either a center the token walked to or the token's
+        current holder, which forced delivery promotes to a center.  The
+        owners become the catalog sources of phase 2.
+        """
+        self._centers = self._centers | frozenset(ownership)
+        self.configure_catalog({owner: tuple(tokens) for owner, tokens in ownership.items()})
         self._phase = 2
 
     # -- engine interface ----------------------------------------------------------------
@@ -165,9 +179,7 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
     @property
     def centers(self) -> Tuple[NodeId, ...]:
         """The centers chosen in phase 1 (empty if phase 1 was skipped)."""
-        if self._walker is None:
-            return ()
-        return tuple(sorted(self._walker.centers))
+        return tuple(sorted(self._centers))
 
     @property
     def phase1_rounds(self) -> int:
@@ -230,17 +242,22 @@ class ObliviousMultiSourceAlgorithm(MultiSourceUnicastAlgorithm):
 
 
 class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
-    """Algorithm 2 on bitmask state: real phase 1, fast phase 2.
+    """Algorithm 2 on bitmask state, both phases.
 
-    Phase 1 (random walks) is inherently sequential — one token per edge
-    per round, RNG-driven — so the program drives the *real* algorithm
-    object through the exchange semantics, message for message.  The moment
-    the algorithm switches to phase 2 (all tokens at centers, or the round
-    budget expired), the program fixes the center catalog and activates an
-    inner :class:`_MultiSourceFastProgram` over the same kernel, seeded
-    with the phase-1 edge history, and delegates every later round to it.
-    Executions that skip phase 1 entirely (``s`` below the threshold) run
-    the inner program from round 1.
+    :meth:`setup` runs the algorithm's own setup, so the centers come from
+    the same rng draws, and then converts the walker's state once: the
+    tokens at each node become one list of token bit indices (in holdings
+    order) and the centers one node mask.  Each phase-1 round replays
+    :meth:`~repro.algorithms.random_walks.RandomWalkDisseminator.plan_round`
+    draw for draw on the adjacency masks, applies the steps in plan order
+    (receivers append to their holdings, which later rounds depend on) and
+    delivers them in receiver-then-sender order, as the exchange path does.
+    The phase-1 counters stay current on the algorithm, and the phase
+    transition is the algorithm's own
+    (:meth:`ObliviousMultiSourceAlgorithm._enter_phase_two`).  From then on
+    every round runs on an inner :class:`_MultiSourceFastProgram` over the
+    center catalog, which shares this program's per-edge history.
+    Executions that skip phase 1 run the inner program from round 1.
     """
 
     track_edge_history = True
@@ -251,10 +268,26 @@ class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
 
     def setup(self) -> None:
         kernel = self.kernel
+        algorithm = self.algorithm
         self._inner = None
-        self.algorithm.setup(kernel.problem, kernel.algorithm_rng, state=kernel.state)
-        if self.algorithm.phase == 2:
+        algorithm.setup(kernel.problem, kernel.algorithm_rng, state=kernel.state)
+        if algorithm.phase == 2:
             self._activate_inner()
+            return
+        walker = algorithm._walker
+        token_index = self.token_index
+        index_of = self.index_of
+        #: The tokens at each node as bit indices, in holdings order: the
+        #: walking tokens of a non-center, the tokens a center owns.
+        self._holdings: List[List[int]] = [
+            [token_index[token] for token in walker.tokens_at(node)]
+            for node in self.nodes
+        ]
+        self._walking = sum(len(held) for held in self._holdings)
+        for center, owned in walker.ownership().items():
+            self._holdings[index_of[center]].extend(token_index[token] for token in owned)
+        self._centers_mask = sum(1 << index_of[center] for center in walker.centers)
+        self._threshold = walker.degree_threshold
 
     def _activate_inner(self) -> None:
         algorithm = self.algorithm
@@ -263,21 +296,11 @@ class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
             for source in algorithm.catalog_sources()
         }
         inner = _MultiSourceFastProgram(self.kernel, algorithm, catalog=catalog)
-        # Phase 1 drove the real algorithm object, so its object-level edge
-        # history (including token rounds recorded by receive_messages) is
-        # the authoritative one.  Convert it to edge ids and share a single
-        # dict between the outer program — which the delivery stage keeps
-        # updating — and the inner program, which reads and extends it.
-        index_of = self.index_of
-        n = self.n
-        self.edge_inserted = inner.edge_inserted = {
-            edge_id(index_of[u], index_of[v], n): round_index
-            for (u, v), round_index in algorithm._edge_last_inserted.items()
-        }
-        self.edge_token_round = inner.edge_token_round = {
-            edge_id(index_of[u], index_of[v], n): round_index
-            for (u, v), round_index in algorithm._edge_last_token_round.items()
-        }
+        # One per-edge history for both programs: the delivery stage keeps
+        # updating this program's dicts, and the inner program reads and
+        # extends them.
+        inner.edge_inserted = self.edge_inserted
+        inner.edge_token_round = self.edge_token_round
         inner.setup()
         self._inner = inner
 
@@ -287,50 +310,111 @@ class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
             inner.deliver(round_index, commitment)
             self._sent_records = inner._sent_records
             return
-        # Phase 1: the exchange semantics, verbatim, against the live
-        # algorithm (see UnicastExchangeProgram.deliver).
-        kernel = self.kernel
+        self._walk(round_index)
+
+    def _walk(self, round_index: int) -> None:
+        """One phase-1 round: ``plan_round``, ``apply_step`` and the
+        exchange path's delivery, on bits."""
         algorithm = self.algorithm
-        graph = kernel.graph
-        neighbors = graph.neighbors_view()
-        algorithm.on_topology(
-            round_index,
-            neighbors,
-            graph.trace.inserted_edges(round_index),
-            graph.trace.removed_edges(round_index),
-        )
-        sends = algorithm.select_messages(round_index, neighbors)
-        accounting = self.accounting
-        index_of = self.index_of
-        inbox: Dict[NodeId, List[ReceivedMessage]] = {
-            node: [] for node in self.nodes
-        }
-        records: Optional[List[SentRecord]] = (
-            [] if kernel.observe_messages else None
-        )
-        for sender in sorted(sends):
-            for receiver in sorted(sends[sender]):
-                for payload in sends[sender][receiver]:
-                    accounting.count(index_of[sender], payload.kind.value)
-                    if records is not None:
-                        records.append(
-                            SentRecord(
-                                sender=sender, receiver=receiver, payload=payload
-                            )
-                        )
-                    inbox[receiver].append(
-                        ReceivedMessage(sender=sender, payload=payload)
+        algorithm._phase1_rounds += 1
+        n = self.n
+        adj = self.adj
+        holdings = self._holdings
+        centers = self._centers_mask
+        threshold = self._threshold
+        rng = algorithm.rng
+        random = rng.random
+        choice = rng.choice
+        # (sender, receiver, token bit) in plan order: ascending senders.
+        steps: List[Tuple[int, int, int]] = []
+        for v in range(n):
+            held = holdings[v]
+            if not held or (centers >> v) & 1:
+                continue
+            mask = adj[v]
+            if not mask:
+                continue
+            degree = mask.bit_count()
+            if degree >= threshold:
+                # High-degree hand-off: one token to each neighbouring center.
+                for u, token in zip(bit_indices(mask & centers), held):
+                    steps.append((v, u, token))
+                continue
+            # A step on the virtual n-regular multigraph; ascending indices
+            # give rng.choice the reference's sorted neighbour list.
+            neighbors = bit_indices(mask)
+            used = 0
+            for token in held:
+                if random() >= degree / n:
+                    continue  # virtual self-loop: the token stays put
+                u = choice(neighbors)
+                if (used >> u) & 1:
+                    continue  # congestion: one token per actual edge per round
+                used |= 1 << u
+                steps.append((v, u, token))
+
+        for v, u, token in steps:
+            holdings[v].remove(token)
+            holdings[u].append(token)
+            if (centers >> u) & 1:
+                self._walking -= 1
+
+        if steps:
+            per_node = self.per_node
+            for v, _, _ in steps:
+                per_node[v] += 1
+            self.accounting.count_bulk(_KIND_TOKEN, len(steps))
+            algorithm._phase1_messages += len(steps)
+            learn_index = self.state.learn_index
+            edge_token_round = self.edge_token_round
+            for u, v, token in sorted((u, v, token) for v, u, token in steps):
+                if learn_index(u, token):
+                    edge_token_round[edge_id(u, v, n)] = round_index
+        if self.kernel.observe_messages:
+            nodes = self.nodes
+            tokens = self.tokens
+            self.store_sent_records(
+                [
+                    SentRecord(
+                        sender=nodes[v],
+                        receiver=nodes[u],
+                        payload=TokenMessage(tokens[token]),
                     )
-        algorithm.receive_messages(round_index, inbox)
-        if records is not None:
-            self.store_sent_records(records)
-        if algorithm.phase == 2:
-            self._activate_inner()
+                    for v, u, token in sorted(steps)
+                ]
+            )
+        if self._walking == 0 or algorithm._phase1_rounds >= algorithm._phase1_round_limit:
+            self._finish_phase_one()
+
+    def _finish_phase_one(self) -> None:
+        """Hand the tokens' places to the algorithm's phase transition: each
+        node owns the tokens it holds (forced delivery, at a non-center)."""
+        nodes = self.nodes
+        tokens = self.tokens
+        self.algorithm._enter_phase_two(
+            {
+                nodes[v]: [tokens[token] for token in sorted(held)]
+                for v, held in enumerate(self._holdings)
+                if held
+            }
+        )
+        self._activate_inner()
 
     def observation_extra(self) -> Dict[str, object]:
-        if self._inner is None:
-            return self.algorithm.observation_extra()
-        extra = self._inner.observation_extra()
-        extra["phase"] = 2
-        extra["centers"] = self.algorithm.centers
+        algorithm = self.algorithm
+        inner = self._inner
+        if inner is not None:
+            extra = inner.observation_extra()
+            extra["phase"] = 2
+        else:
+            # Phase 1 keeps the problem's own catalog.
+            sources = algorithm.catalog_sources()
+            token_index = self.token_index
+            masks = [
+                sum(1 << token_index[token] for token in algorithm.catalog_of(source))
+                for source in sources
+            ]
+            extra = _completeness_extra(self.nodes, sources, masks, self.state.know)
+            extra["phase"] = 1
+        extra["centers"] = algorithm.centers
         return extra

@@ -188,8 +188,8 @@ class RandomWalkDisseminator:
 
         Simulation safeguard used when a round budget expires before all
         tokens reach a center; it guarantees phase 2 starts from a valid
-        source assignment (documented in DESIGN.md).  Returns the ownership
-        map after promotion.
+        source assignment (see "Algorithm 2 implementation notes" in
+        README.md).  Returns the ownership map after promotion.
         """
         for token, owner in list(self._owner.items()):
             if owner is None:

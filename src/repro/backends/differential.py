@@ -295,15 +295,19 @@ def default_differential_specs() -> List[ScenarioSpec]:
 
     * every bitset fast program (flooding, one-shot-flooding, single-source,
       spanning-tree, naive-unicast, multi-source, and the two-phase
-      ``oblivious`` program, which hands phase 2 to the multi-source one)
-      against oblivious adversaries — steady churn, a static random graph,
-      Θ(n)-changes-per-round star recentering and path reshuffling;
+      ``oblivious`` program, which walks phase 1 on bit state and hands
+      phase 2 to the multi-source one) against oblivious adversaries —
+      steady churn, a static random graph, a rewiring expander,
+      Θ(n)-changes-per-round star recentering and path reshuffling; the
+      ``oblivious`` cells include a 3-round phase-1 budget (forced
+      delivery) with a low degree threshold (high-degree hand-off);
     * the same fast programs against **adaptive** adversaries (request
       cutting, star recentering on the least-informed node, targeted
       rewiring, and the Section-2 lower-bound adversary), which exercises
       the kernel's lazy RoundObservation adapter on bitset state — in
       particular unicast-model cases where the graph is fixed before nodes
-      commit to their messages;
+      commit to their messages, and Algorithm 2's random walks under
+      request cutting and targeted rewiring;
     * a round-capped spec whose executions do *not* complete (both backends
       must agree on incomplete results too).
     """
@@ -475,6 +479,22 @@ def default_differential_specs() -> List[ScenarioSpec]:
             adversary_params={"changes_per_round": 1},
         )
     )
+    # Algorithm 2 with a 3-round phase-1 budget (forced delivery promotes
+    # the holders of walking tokens) and a degree threshold low enough for
+    # the high-degree hand-off to neighbouring centers.
+    specs.append(
+        _spec(
+            "oblivious",
+            "rewiring-regular",
+            12,
+            12,
+            1,
+            problem="multi-source",
+            problem_params={"num_sources": 6},
+            adversary_params={"num_nodes": 12},
+            algorithm_params={"phase1_round_limit": 3, "degree_threshold": 2.0},
+        )
+    )
 
     # Adaptive adversaries: the kernel builds RoundObservations lazily from
     # the bitset state, so every fast program must agree with the reference
@@ -518,6 +538,30 @@ def default_differential_specs() -> List[ScenarioSpec]:
             1,
             problem="multi-source",
             problem_params={"num_sources": 4},
+        )
+    )
+    # Algorithm 2's random walks under adversaries that read the messages
+    # of the previous round and the knowledge masks.
+    specs.append(
+        _spec(
+            "oblivious",
+            "request-cutting",
+            10,
+            12,
+            0,
+            problem="multi-source",
+            problem_params={"num_sources": 5},
+        )
+    )
+    specs.append(
+        _spec(
+            "oblivious",
+            "adaptive-rewiring",
+            10,
+            12,
+            0,
+            problem="multi-source",
+            problem_params={"num_sources": 5},
         )
     )
     specs.append(

@@ -27,14 +27,15 @@ from repro.backends.differential import (
 )
 from repro.cli import main
 from repro.core.engine import Simulator
-from repro.core.problem import single_source_problem
+from repro.core.problem import single_source_problem, uniform_multi_source_problem
 from repro.algorithms.flooding import FloodingAlgorithm, OneShotFloodingAlgorithm
 from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
+from repro.adversaries.adaptive import StarRecenterAdversary
 from repro.adversaries.lower_bound import LowerBoundAdversary
 from repro.adversaries.oblivious import ControlledChurnAdversary
 from repro.scenarios import ScenarioSpec, repetition_seed, run_scenario, run_spec, sweep
 from repro.utils.validation import ConfigurationError, SimulationError
-from tests.conftest import random_spec
+from tests.conftest import adversary_params_for, random_spec
 
 
 def bitset_spec(**overrides):
@@ -124,9 +125,8 @@ class TestBitsetCapabilities:
     def test_execution_mode_reports_native_vs_generic(self):
         backend = BitsetBackend()
         assert backend.execution_mode(FloodingAlgorithm()) == "native"
-        # The two-phase oblivious algorithm drives the real algorithm during
-        # its rng-driven random-walk phase but switches to the multi-source
-        # fast program in phase 2 — still a native program from the outside.
+        # The two-phase oblivious program walks phase 1's random walks on
+        # bit state itself and hands phase 2 to the multi-source program.
         assert backend.execution_mode(ObliviousMultiSourceAlgorithm()) == "native"
 
     def test_subclasses_fall_back_to_the_generic_path(self):
@@ -302,7 +302,14 @@ class TestBackendEquivalence:
         assert covered == set(ALGORITHM_REGISTRY.names())
         adversaries = {spec.adversary for spec in default_differential_specs()}
         # Both adversary classes are exercised.
-        assert {"request-cutting", "star-recenter", "adaptive-rewiring", "lower-bound"} <= adversaries
+        adaptive = {"request-cutting", "star-recenter", "adaptive-rewiring", "lower-bound"}
+        assert adaptive <= adversaries
+        # Algorithm 2's random walks run under an adaptive adversary too.
+        assert adaptive & {
+            spec.adversary
+            for spec in default_differential_specs()
+            if spec.algorithm == "oblivious"
+        }
 
     def test_randomized_specs_pass(self):
         """Seeded random draws beyond the fixed grid: any algorithm, any
@@ -329,6 +336,132 @@ class TestBackendEquivalence:
             assert fast_record.pop("spec")["backend"] == "bitset"
             assert slow_record.pop("spec")["backend"] == "reference"
             assert fast_record == slow_record
+
+
+#: Oblivious and adaptive adversaries the Algorithm-2 draws run under.
+_ALGORITHM_TWO_ADVERSARIES = (
+    "churn",
+    "rewiring-regular",
+    "static-random",
+    "path-shuffle",
+    "star-oscillator",
+    "request-cutting",
+    "adaptive-rewiring",
+    "star-recenter",
+)
+
+
+def algorithm_two_spec(rng):
+    """Draw one Algorithm-2 scenario over the knobs that steer phase 1.
+
+    ``center_probability = 1.0`` makes every node a center, so phase 1
+    ends at setup; a ``degree_threshold`` of 1 or 2 exercises the
+    high-degree hand-off; a short ``phase1_round_limit`` forces delivery;
+    the 40-round cap leaves runs incomplete.
+    """
+    num_nodes = rng.randint(4, 16)
+    num_tokens = rng.randint(2, 30)
+    adversary = rng.choice(_ALGORITHM_TWO_ADVERSARIES)
+    adversary_params = adversary_params_for(adversary, num_nodes)
+    if adversary_params:
+        adversary_params["seed"] = rng.randrange(1000)
+    return ScenarioSpec(
+        problem="multi-source",
+        problem_params={
+            "num_nodes": num_nodes,
+            "num_tokens": num_tokens,
+            "num_sources": rng.randint(1, min(num_nodes, num_tokens)),
+        },
+        algorithm="oblivious",
+        algorithm_params={
+            "force_two_phase": rng.choice((True, False)),
+            "center_probability": rng.choice((0.1, 0.2, 0.5, 1.0)),
+            "degree_threshold": rng.choice((1.0, 2.0, 3.5)),
+            "phase1_round_limit": rng.choice((1, 3, 20)),
+        },
+        adversary=adversary,
+        adversary_params=adversary_params,
+        seed=rng.randrange(2**31),
+        repetitions=2,
+        max_rounds=rng.choice((None, 40)),
+    )
+
+
+class RecordingStarRecenter(StarRecenterAdversary):
+    """Star recentring that reads every observation field and records, per
+    round, the ``extra`` it saw and how many messages the last round sent."""
+
+    observed_fields = None
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def edges_for_round(self, round_index, observation):
+        self.seen.append((observation.extra, len(observation.previous_messages)))
+        return super().edges_for_round(round_index, observation)
+
+
+class TestObliviousTwoPhaseProgram:
+    """The bitset program runs both phases of Algorithm 2 on bit state; the
+    reference algorithm object still defines what it must reproduce."""
+
+    def test_randomized_phase_one_paths_match_the_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(40):
+            spec = algorithm_two_spec(rng)
+            report = validate_backends([spec])
+            assert report.passed, (
+                spec.to_json(),
+                [d.describe() for o in report.failures for d in o.differences],
+            )
+
+    @staticmethod
+    def run_recorded(backend, seed, max_rounds, phase1_round_limit):
+        algorithm = ObliviousMultiSourceAlgorithm(
+            force_two_phase=True,
+            center_probability=0.2,
+            phase1_round_limit=phase1_round_limit,
+        )
+        adversary = RecordingStarRecenter()
+        result = get_backend(backend).run(
+            uniform_multi_source_problem(10, 8, 20, seed=seed),
+            algorithm,
+            adversary,
+            seed=seed,
+            max_rounds=max_rounds,
+        )
+        state = (
+            algorithm.phase,
+            algorithm.centers,
+            algorithm.phase1_rounds,
+            algorithm.phase1_messages,
+            [(source, algorithm.catalog_of(source)) for source in algorithm.catalog_sources()],
+        )
+        return result, adversary.seen, state
+
+    @pytest.mark.parametrize(
+        "seed, max_rounds, phase1_round_limit, phase",
+        # 600 rounds take every seed well into phase 2 (its longest phase 1
+        # is 411 rounds); a 3-round phase 1 ends in forced delivery; 5
+        # rounds stop inside phase 1.
+        [(seed, 600, None, 2) for seed in range(6)]
+        + [(2, 600, 3, 2), (2, 5, None, 1)],
+    )
+    def test_observations_and_algorithm_state_match(
+        self, seed, max_rounds, phase1_round_limit, phase
+    ):
+        reference = self.run_recorded("reference", seed, max_rounds, phase1_round_limit)
+        bitset = self.run_recorded("bitset", seed, max_rounds, phase1_round_limit)
+        assert not diff_results(reference[0], bitset[0])
+        assert bitset[1] == reference[1]
+        assert bitset[2] == reference[2]
+        phase_reached, centers, phase1_rounds, _, catalog = reference[2]
+        assert phase_reached == phase
+        assert phase1_rounds > 0
+        if phase == 2:
+            # Forced delivery promotes every owner to a center.
+            assert {source for source, _ in catalog} <= set(centers)
 
 
 class TestDiffResults:
