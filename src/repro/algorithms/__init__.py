@@ -10,6 +10,8 @@ Algorithms studied in the paper:
   matches the Θ(n²) amortized upper bound of Section 2.
 * :class:`~repro.algorithms.single_source.SingleSourceUnicastAlgorithm` —
   Algorithm 1 of Section 3.1, 1-adversary-competitive O(n² + nk) messages.
+  It is the Multi-Source-Unicast algorithm with one source (at s = 1 its
+  three tasks are Algorithm 1's rules), so it has no round logic of its own.
 * :class:`~repro.algorithms.multi_source.MultiSourceUnicastAlgorithm` —
   Section 3.2.1, 1-adversary-competitive O(n²s + nk) messages.
 * :class:`~repro.algorithms.oblivious_multi_source.ObliviousMultiSourceAlgorithm`

@@ -33,6 +33,7 @@ assumption without affecting any message count.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.base import UnicastAlgorithm
@@ -45,6 +46,7 @@ from repro.core.messages import (
     TokenMessage,
 )
 from repro.core.observation import SentRecord
+from repro.core.problem import DisseminationProblem
 from repro.core.rounds import FastRoundProgram
 from repro.core.state import edge_id
 from repro.core.tokens import Token, tokens_by_source
@@ -59,6 +61,8 @@ _KIND_REQUEST = MessageKind.REQUEST.value
 _TAG_COMPLETENESS = 0
 _TAG_TOKEN = 1
 _TAG_REQUEST = 2
+
+_receiver = itemgetter(0)
 
 
 class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
@@ -79,7 +83,7 @@ class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
         self._complete_wrt: Dict[NodeId, Set[NodeId]] = {}
         self._informed: Dict[NodeId, Dict[NodeId, Set[NodeId]]] = {}
         self._known_complete: Dict[NodeId, Dict[NodeId, Set[NodeId]]] = {}
-        # Request bookkeeping, as in the single-source algorithm.
+        # Requests to answer this round, and those sent last and this round.
         self._requests_to_answer: Dict[NodeId, Dict[NodeId, Token]] = {}
         self._requests_sent_previous: Dict[NodeId, Dict[NodeId, Token]] = {}
         self._requests_sent_current: Dict[NodeId, Dict[NodeId, Token]] = {}
@@ -88,10 +92,17 @@ class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
 
     def default_catalog(self) -> Dict[NodeId, Tuple[Token, ...]]:
         """The catalog derived from the problem's initial token placement."""
-        catalog: Dict[NodeId, Tuple[Token, ...]] = {}
-        for source, tokens in tokens_by_source(self.problem.tokens).items():
-            catalog[source] = tuple(sorted(tokens))
-        return catalog
+        return self._catalog_of_problem(self.problem)
+
+    def _catalog_of_problem(
+        self, problem: DisseminationProblem
+    ) -> Dict[NodeId, Tuple[Token, ...]]:
+        """:meth:`default_catalog` of ``problem``, for both execution paths
+        (the fast program runs without setting the algorithm up)."""
+        return {
+            source: tuple(tokens)
+            for source, tokens in tokens_by_source(problem.tokens).items()
+        }
 
     def configure_catalog(self, catalog: Mapping[NodeId, Sequence[Token]]) -> None:
         """(Re)initialize the per-source completeness machinery for a new catalog.
@@ -293,37 +304,37 @@ class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
             },
         }
 
+    def _mask_extra(
+        self,
+        nodes: Sequence[NodeId],
+        sources: Sequence[NodeId],
+        catalog_masks: Sequence[int],
+        know: Sequence[int],
+    ) -> Dict[str, object]:
+        """:meth:`observation_extra` read off the knowledge masks of a fast
+        program: a node is complete w.r.t. a source when its mask covers
+        the source's catalog mask."""
+        return {
+            "catalog_sources": tuple(sources),
+            "complete_wrt": {
+                node: tuple(
+                    source
+                    for source, mask in zip(sources, catalog_masks)
+                    if know[v] & mask == mask
+                )
+                for v, node in enumerate(nodes)
+            },
+        }
+
     def fast_program_factory(self) -> Optional[Callable]:
-        # The fast program derives the catalog from the problem's initial
-        # placement; explicitly configured catalogs (and subclasses such as
-        # the oblivious algorithm) take the generic exchange path.
+        # The fast program derives the catalog from the problem;
+        # explicitly configured catalogs take the generic exchange path, and
+        # subclasses (Algorithm 1, the oblivious algorithm) guard their own.
         if type(self) is not MultiSourceUnicastAlgorithm:
             return None
         if self._configured_catalog is not None:
             return None
         return lambda kernel: _MultiSourceFastProgram(kernel, self)
-
-
-def _completeness_extra(
-    nodes: Sequence[NodeId],
-    sources: Sequence[NodeId],
-    catalog_masks: Sequence[int],
-    know: Sequence[int],
-) -> Dict[str, object]:
-    """:meth:`MultiSourceUnicastAlgorithm.observation_extra` read off the
-    knowledge masks: a node is complete w.r.t. a source when its mask
-    covers the source's catalog mask."""
-    return {
-        "catalog_sources": tuple(sources),
-        "complete_wrt": {
-            node: tuple(
-                source
-                for source, mask in zip(sources, catalog_masks)
-                if know[v] & mask == mask
-            )
-            for v, node in enumerate(nodes)
-        },
-    }
 
 
 class _MultiSourceFastProgram(FastRoundProgram):
@@ -335,13 +346,14 @@ class _MultiSourceFastProgram(FastRoundProgram):
     (``told[v][u]``: the sources ``v`` has announced to ``u``), so the
     minimum unannounced source on an edge is the lowest bit of
     ``I_v & ~told[v][u]``.  The three per-round tasks run in the paper's
-    order, with the same request bookkeeping as the single-source fast
-    program.
+    order; requests answered next round are kept as ``answers[v][u]`` and
+    the requests of the previous round as ``req_prev[v][u]`` (token bits).
 
     ``catalog`` overrides the source catalog (the oblivious two-phase
     program hands in the center catalog fixed at its phase transition);
-    by default it is derived from the problem's initial placement, exactly
-    like :meth:`MultiSourceUnicastAlgorithm.default_catalog`.
+    by default it is the algorithm's catalog of the problem, exactly
+    like :meth:`MultiSourceUnicastAlgorithm.default_catalog`.  The
+    algorithm also decides what an adaptive adversary sees as ``extra``.
     """
 
     track_edge_history = True
@@ -357,12 +369,11 @@ class _MultiSourceFastProgram(FastRoundProgram):
         self._catalog_override = catalog
 
     def setup(self) -> None:
-        problem = self.kernel.problem
         token_index = self.token_index
         catalog = (
             self._catalog_override
             if self._catalog_override is not None
-            else tokens_by_source(problem.tokens)
+            else self.algorithm._catalog_of_problem(self.kernel.problem)
         )
         self.sources: List[NodeId] = sorted(catalog)
         s = len(self.sources)
@@ -396,9 +407,70 @@ class _MultiSourceFastProgram(FastRoundProgram):
         self.req_prev: List[Optional[Dict[int, int]]] = [None] * n
 
     def observation_extra(self) -> Dict[str, object]:
-        return _completeness_extra(
+        return self.algorithm._mask_extra(
             self.nodes, self.sources, self.catalog_mask, self.state.know
         )
+
+    def prioritized_edges(
+        self, node_index: int, candidates_mask: int, round_index: int
+    ) -> List[int]:
+        """Candidate neighbours in the Section-3.1.1 request priority order.
+
+        ``candidates_mask`` is a node bitmask (the known-complete neighbours
+        of ``node_index``); the result lists their indices in **new**
+        (inserted this round or the previous one), then **idle**, then
+        **contributive** order — ascending within each class, exactly like
+        the reference :meth:`~repro.algorithms.base.UnicastAlgorithm.is_new_edge`
+        family.
+        """
+        n = self.n
+        v = node_index
+        edge_inserted = self.edge_inserted
+        edge_token_round = self.edge_token_round
+        new_edges: List[int] = []
+        idle_edges: List[int] = []
+        contributive_edges: List[int] = []
+        to_visit = candidates_mask
+        while to_visit:
+            low = to_visit & -to_visit
+            u = low.bit_length() - 1
+            to_visit ^= low
+            eid = edge_id(v, u, n)
+            inserted_round = edge_inserted.get(eid, 0)
+            if inserted_round >= round_index - 1:
+                new_edges.append(u)
+            else:
+                token_round = edge_token_round.get(eid)
+                if token_round is not None and token_round >= inserted_round:
+                    contributive_edges.append(u)
+                else:
+                    idle_edges.append(u)
+        return new_edges + idle_edges + contributive_edges
+
+    @staticmethod
+    def pending_request_mask(
+        requests: Optional[Dict[int, int]], neighbors_mask: int
+    ) -> int:
+        """Token bits requested last round over edges that still exist.
+
+        Those tokens are guaranteed to arrive this round (complete nodes
+        respond immediately), so the node does not re-request them.
+        """
+        pending_mask = 0
+        if requests:
+            for u, token_bit_index in requests.items():
+                if (neighbors_mask >> u) & 1:
+                    pending_mask |= 1 << token_bit_index
+        return pending_mask
+
+    def _payload(self, tag: int, value: int) -> Payload:
+        """The message a flat ``(tag, value)`` pair stands for."""
+        if tag == _TAG_COMPLETENESS:
+            return CompletenessMessage(source=self.sources[value])
+        token = self.tokens[value]
+        if tag == _TAG_TOKEN:
+            return TokenMessage(token)
+        return RequestMessage(source=token.source, index=token.index)
 
     def deliver(self, round_index: int, commitment) -> None:
         n = self.n
@@ -416,11 +488,13 @@ class _MultiSourceFastProgram(FastRoundProgram):
         req_cur: List[Optional[Dict[int, int]]] = [None] * n
         edge_token_round = self.edge_token_round
         per_node = self.per_node
-        deliveries: List[Optional[List[Tuple[int, int, int]]]] = [None] * n
+        # Each message goes straight onto its receiver's list.  The outer
+        # loop fills every list sender-ascending, and one sender's tasks
+        # append in task order, which is the exchange path's delivery order.
+        deliveries: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
         observe = self.kernel.observe_messages
         records: Optional[List[SentRecord]] = [] if observe else None
         nodes = self.nodes
-        tokens = self.tokens
 
         token_count = 0
         completeness_count = 0
@@ -428,7 +502,8 @@ class _MultiSourceFastProgram(FastRoundProgram):
 
         for v in range(n):
             neighbors = adj[v]
-            outbox: Dict[int, List[Tuple[int, int]]] = {}
+            # This sender's (receiver, tag, value) sends, for the records.
+            sent: Optional[List[Tuple[int, int, int]]] = [] if observe else None
 
             # Task 1: completeness announcements (minimum unannounced source
             # per edge) to the neighbours not yet told all of I_v.
@@ -446,25 +521,24 @@ class _MultiSourceFastProgram(FastRoundProgram):
                         told_all[v] |= low
                     if unannounced:
                         told_v[u] |= low_x
+                        x = low_x.bit_length() - 1
                         completeness_count += 1
                         per_node[v] += 1
-                        outbox.setdefault(u, []).append(
-                            (_TAG_COMPLETENESS, low_x.bit_length() - 1)
-                        )
+                        deliveries[u].append((v, _TAG_COMPLETENESS, x))
+                        if sent is not None:
+                            sent.append((u, _TAG_COMPLETENESS, x))
 
-            # Task 2: answer the requests received in the previous round.
+            # Task 2: answer the requests received in the previous round
+            # over edges that still exist.
             pending_answers = answers[v]
             if pending_answers:
-                to_visit = neighbors
-                while to_visit:
-                    low = to_visit & -to_visit
-                    u = low.bit_length() - 1
-                    to_visit ^= low
-                    answer = pending_answers.get(u)
-                    if answer is not None:
+                for u, answer in pending_answers.items():
+                    if (neighbors >> u) & 1:
                         token_count += 1
                         per_node[v] += 1
-                        outbox.setdefault(u, []).append((_TAG_TOKEN, answer))
+                        deliveries[u].append((v, _TAG_TOKEN, answer))
+                        if sent is not None:
+                            sent.append((u, _TAG_TOKEN, answer))
                 answers[v] = {}
 
             # Task 3: request tokens of the highest-priority incomplete source
@@ -478,7 +552,7 @@ class _MultiSourceFastProgram(FastRoundProgram):
                     missing &= ~self.pending_request_mask(req_prev[v], neighbors)
                 complete_neighbors = neighbors & known_complete[v][active]
                 if missing and complete_neighbors:
-                    sent: Optional[Dict[int, int]] = None
+                    requested: Optional[Dict[int, int]] = None
                     for u in self.prioritized_edges(v, complete_neighbors, round_index):
                         if not missing:
                             break
@@ -487,45 +561,30 @@ class _MultiSourceFastProgram(FastRoundProgram):
                         bit = low.bit_length() - 1
                         request_count += 1
                         per_node[v] += 1
-                        outbox.setdefault(u, []).append((_TAG_REQUEST, bit))
-                        if sent is None:
-                            sent = req_cur[v] = {}
-                        sent[u] = bit
+                        deliveries[u].append((v, _TAG_REQUEST, bit))
+                        if sent is not None:
+                            sent.append((u, _TAG_REQUEST, bit))
+                        if requested is None:
+                            requested = req_cur[v] = {}
+                        requested[u] = bit
 
-            if not outbox:
-                continue
-            # Flush in ascending-receiver order (the kernel's delivery order).
-            for u in sorted(outbox):
-                box = deliveries[u]
-                if box is None:
-                    box = deliveries[u] = []
-                pairs = outbox[u]
-                box.extend((v, tag, value) for tag, value in pairs)
-                if records is not None:
-                    sender = nodes[v]
-                    receiver = nodes[u]
-                    for tag, value in pairs:
-                        if tag == _TAG_COMPLETENESS:
-                            payload: Payload = CompletenessMessage(
-                                source=self.sources[value]
-                            )
-                        elif tag == _TAG_TOKEN:
-                            payload = TokenMessage(tokens[value])
-                        else:
-                            token = tokens[value]
-                            payload = RequestMessage(
-                                source=token.source, index=token.index
-                            )
-                        records.append(
-                            SentRecord(sender=sender, receiver=receiver, payload=payload)
+            if sent:
+                # The exchange path records sends receiver-ascending, in task
+                # order per receiver: a stable sort by receiver.
+                sender = nodes[v]
+                sent.sort(key=_receiver)
+                for u, tag, value in sent:
+                    records.append(
+                        SentRecord(
+                            sender=sender,
+                            receiver=nodes[u],
+                            payload=self._payload(tag, value),
                         )
+                    )
 
         learn_index = state.learn_index
         source_of = self.source_of
-        for u in range(n):
-            box = deliveries[u]
-            if not box:
-                continue
+        for u, box in enumerate(deliveries):
             for sender, tag, value in box:
                 if tag == _TAG_COMPLETENESS:
                     known_complete[u][value] |= 1 << sender

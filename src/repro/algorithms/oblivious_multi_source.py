@@ -43,7 +43,6 @@ from repro.algorithms.multi_source import (
     _KIND_TOKEN,
     MultiSourceUnicastAlgorithm,
     _MultiSourceFastProgram,
-    _completeness_extra,
 )
 from repro.algorithms.random_walks import (
     RandomWalkDisseminator,
@@ -414,7 +413,7 @@ class _ObliviousTwoPhaseFastProgram(FastRoundProgram):
                 sum(1 << token_index[token] for token in algorithm.catalog_of(source))
                 for source in sources
             ]
-            extra = _completeness_extra(self.nodes, sources, masks, self.state.know)
+            extra = algorithm._mask_extra(self.nodes, sources, masks, self.state.know)
             extra["phase"] = 1
         extra["centers"] = algorithm.centers
         return extra

@@ -73,7 +73,7 @@ from repro.analysis.bounds import (
     static_spanning_tree_amortized,
 )
 from repro.analysis.reporting import format_table, render_table1
-from repro.api import Experiment, RunSet, load_runs
+from repro.api import Experiment, RunSet, _normalize_dimension_key, load_runs
 from repro.backends import BACKEND_REGISTRY, DEFAULT_BACKEND
 from repro.scenarios import (
     ADVERSARY_REGISTRY,
@@ -85,7 +85,6 @@ from repro.scenarios import (
     sweep,
 )
 from repro.scenarios.registry import Registry
-from repro.scenarios.spec import _TOP_LEVEL_SWEEP_FIELDS
 from repro.utils.validation import ConfigurationError, ReproError
 
 #: Deprecated aliases kept for backwards compatibility: the registries are
@@ -686,15 +685,6 @@ def _parse_overrides(assignments: Sequence[str]) -> Dict[str, Dict[str, Any]]:
     return sections
 
 
-def _normalize_grid_key(key: str) -> str:
-    # Bare keys that are not spec fields are shorthand for problem parameters
-    # (``num_nodes`` etc.); spec fields come from the sweep implementation so
-    # the two never drift apart.
-    if "." in key or key in _TOP_LEVEL_SWEEP_FIELDS:
-        return key
-    return f"problem.{key}"
-
-
 def _parse_grid(dimensions: Sequence[str]) -> Dict[str, List[Any]]:
     grid: Dict[str, List[Any]] = {}
     for dimension in dimensions:
@@ -711,14 +701,14 @@ def _parse_grid(dimensions: Sequence[str]) -> Dict[str, List[Any]]:
             for key, values in payload.items():
                 if not isinstance(values, list):
                     values = [values]
-                grid[_normalize_grid_key(key.strip())] = values
+                grid[_normalize_dimension_key(key.strip())] = values
             continue
         key, separator, values_text = dimension.partition("=")
         if not separator or not key or not values_text:
             raise ConfigurationError(
                 f"invalid --grid {dimension!r}: expected KEY=V1,V2,... or a JSON object"
             )
-        grid[_normalize_grid_key(key.strip())] = [
+        grid[_normalize_dimension_key(key.strip())] = [
             _parse_value(value) for value in values_text.split(",")
         ]
     return grid

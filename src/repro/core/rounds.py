@@ -64,12 +64,7 @@ from repro.core.metrics import MessageStatistics
 from repro.core.observation import RoundObservation, SentRecord
 from repro.core.problem import DisseminationProblem
 from repro.core.result import ExecutionResult
-from repro.core.state import (
-    BitsetKnowledgeState,
-    KnowledgeState,
-    MappingKnowledgeState,
-    edge_id,
-)
+from repro.core.state import BitsetKnowledgeState, KnowledgeState, MappingKnowledgeState
 from repro.core.tokens import Token
 from repro.dynamics.connectivity import mask_components, toggle_edge_ids
 from repro.dynamics.graph_sequence import DynamicGraphTrace
@@ -672,58 +667,6 @@ class FastRoundProgram(RoundProgram):
             # A reinserted edge starts a fresh history (see
             # UnicastAlgorithm.on_topology).
             edge_token_round.pop(eid, None)
-
-    def prioritized_edges(
-        self, node_index: int, candidates_mask: int, round_index: int
-    ) -> List[int]:
-        """Candidate neighbours in the Section-3.1.1 request priority order.
-
-        ``candidates_mask`` is a node bitmask (typically the known-complete
-        neighbours of ``node_index``); the result lists their indices in
-        **new** (inserted this round or the previous one), then **idle**,
-        then **contributive** order — ascending within each class, exactly
-        like the reference
-        :meth:`~repro.algorithms.base.UnicastAlgorithm.is_new_edge` family.
-        Requires ``track_edge_history``.
-        """
-        n = self.n
-        v = node_index
-        edge_inserted = self.edge_inserted
-        edge_token_round = self.edge_token_round
-        new_edges: List[int] = []
-        idle_edges: List[int] = []
-        contributive_edges: List[int] = []
-        to_visit = candidates_mask
-        while to_visit:
-            low = to_visit & -to_visit
-            u = low.bit_length() - 1
-            to_visit ^= low
-            eid = edge_id(v, u, n)
-            inserted_round = edge_inserted.get(eid, 0)
-            if inserted_round >= round_index - 1:
-                new_edges.append(u)
-            else:
-                token_round = edge_token_round.get(eid)
-                if token_round is not None and token_round >= inserted_round:
-                    contributive_edges.append(u)
-                else:
-                    idle_edges.append(u)
-        return new_edges + idle_edges + contributive_edges
-
-    def pending_request_mask(
-        self, requests: Optional[Dict[int, int]], neighbors_mask: int
-    ) -> int:
-        """Token bits requested last round over edges that still exist.
-
-        Those tokens are guaranteed to arrive this round (complete nodes
-        respond immediately), so the node does not re-request them.
-        """
-        pending_mask = 0
-        if requests:
-            for u, token_bit_index in requests.items():
-                if (neighbors_mask >> u) & 1:
-                    pending_mask |= 1 << token_bit_index
-        return pending_mask
 
     def store_sent_records(self, records: List[SentRecord]) -> None:
         """Remember this round's sends for the next round's observation."""

@@ -48,8 +48,12 @@ class ServiceClient:
         else:
             path = socket_path if socket_path is not None else DEFAULT_SOCKET
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(path)
+            try:
+                self._sock.settimeout(timeout)
+                self._sock.connect(path)
+            except BaseException:
+                self._sock.close()
+                raise
         self._file = self._sock.makefile("rwb")
         #: The final job-finished frame of the last consumed event stream.
         self.finished: Optional[Dict[str, Any]] = None

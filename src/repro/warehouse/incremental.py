@@ -5,9 +5,10 @@ every record on every call.  This module persists per-group state in the
 index — ``runs`` / ``completed`` plus, per metric, ``count`` / ``sum`` /
 ``sum-of-squares`` moments and the **sorted value list** — and folds only
 rows appended since the last call (tracked by a sqlite ``rowid``
-watermark) into that state.  Rendering then replays the exact recipe of
-:func:`~repro.results.aggregate.aggregate` over the cached sorted values:
-same group ordering, same seeded bootstrap, same ``statistics`` calls.
+watermark) into that state.  Rendering then runs the row recipe of
+:func:`~repro.results.aggregate.aggregate`
+(:func:`~repro.results.aggregate.summary_row`) over the cached sorted
+values, in the same group order.
 The output is **byte-identical** to a cold shard scan — the PR-2
 invariant — while a steady-state call touches only the handful of rows
 that are actually new.
@@ -26,9 +27,7 @@ truncation) bumps it, because folding can only ever *add* values.
 from __future__ import annotations
 
 import json
-import random
 from bisect import insort
-from statistics import mean, median, pstdev
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.results.aggregate import (
@@ -36,10 +35,9 @@ from repro.results.aggregate import (
     DEFAULT_METRICS,
     DEFAULT_RESAMPLES,
     _group_sort_key,
-    bootstrap_ci,
+    summary_row,
 )
 from repro.results.records import RunRecord
-from repro.utils.rng import derive_seed
 from repro.warehouse.index import WarehouseIndex
 
 __all__ = ["cached_aggregate"]
@@ -278,10 +276,10 @@ def cached_aggregate(
             full=full_rebuild,
         )
     # Render exactly as repro.results.aggregate.aggregate does: same group
-    # ordering, same seeded bootstrap, same statistics calls on the same
-    # sorted value lists.  Clean groups serve their fully rendered row from
-    # the row cache — the bootstrap (the dominant cost at scale) only runs
-    # for groups whose membership actually changed this call.
+    # ordering, and its summary_row on the same sorted value lists.  Clean
+    # groups serve their fully rendered row from the row cache — the
+    # bootstrap (the dominant cost at scale) only runs for groups whose
+    # membership actually changed this call.
     row_cache: Dict[str, str] = {
         encoded: row_json
         for encoded, row_json in conn.execute(
@@ -301,23 +299,16 @@ def cached_aggregate(
             if cached_row is not None:
                 rows.append(json.loads(cached_row))
                 continue
-        row: Dict[str, Any] = dict(zip(group_by, key))
-        row["runs"] = state.runs
-        row["completed"] = state.all_completed
-        key_json = json.dumps([str(part) for part in key], sort_keys=True)
-        for metric in metrics:
-            values = state.values[metric]
-            rng = random.Random(derive_seed(0, "bootstrap", key_json, metric))
-            ci_low, ci_high = bootstrap_ci(
-                values, confidence=confidence, resamples=resamples, rng=rng
-            )
-            row[f"{metric}_mean"] = mean(values)
-            row[f"{metric}_median"] = median(values)
-            row[f"{metric}_std"] = pstdev(values) if len(values) > 1 else 0.0
-            row[f"{metric}_min"] = values[0]
-            row[f"{metric}_max"] = values[-1]
-            row[f"{metric}_ci_low"] = ci_low
-            row[f"{metric}_ci_high"] = ci_high
+        row = summary_row(
+            group_by,
+            key,
+            state.runs,
+            state.all_completed,
+            metrics,
+            state.values,
+            confidence=confidence,
+            resamples=resamples,
+        )
         rows.append(row)
         fresh_rows.append((encoded, json.dumps(row)))
     if fresh_rows:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import gc
 import io
 import json
 import multiprocessing
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,18 @@ class TestProtocol:
             decode_frame(b"[1, 2]\n")
         with pytest.raises(ProtocolError, match="UTF-8"):
             decode_frame(b"\xff\xfe\n")
+
+
+class TestClientConnect:
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        missing = str(tmp_path / "no-daemon.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                ServiceClient(socket_path=missing)
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
 
 class TestWorkerPool:
