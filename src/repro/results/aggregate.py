@@ -11,6 +11,11 @@ sorted before any statistic is computed and the bootstrap generator is
 seeded from the group key and metric name, so aggregating records produced
 by a parallel sweep yields byte-identical rows to aggregating the serial
 run — or the same records shuffled.
+
+The bootstrap's resample means are exact integer sums divided once, equal
+bit for bit to ``statistics.mean`` of the same draws (see
+:func:`bootstrap_ci`); each row's own mean, median and stddev are single
+``statistics`` calls.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 from statistics import mean, median, pstdev
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.results.records import RunRecord, coerce_record
 from repro.utils.rng import derive_seed
@@ -40,6 +45,19 @@ DEFAULT_GROUP_BY: Tuple[str, ...] = ("algorithm", "adversary", "n", "k")
 DEFAULT_RESAMPLES = 200
 
 
+def _float_scaling(values: Sequence[float]) -> Optional[Tuple[List[int], int]]:
+    """Finite floats as integer numerators over one power-of-two denominator.
+
+    ``None`` when a value is NaN or infinite: those have no integer ratio.
+    """
+    try:
+        ratios = [value.as_integer_ratio() for value in values]
+    except (OverflowError, ValueError):
+        return None
+    denominator = max(den for _, den in ratios)
+    return [num * (denominator // den) for num, den in ratios], denominator
+
+
 def bootstrap_ci(
     values: Sequence[float],
     *,
@@ -47,16 +65,38 @@ def bootstrap_ci(
     resamples: int = DEFAULT_RESAMPLES,
     rng: random.Random,
 ) -> Tuple[float, float]:
-    """A percentile-bootstrap confidence interval for the mean of ``values``."""
+    """A percentile-bootstrap confidence interval for the mean of ``values``.
+
+    Each resample's mean is the exact integer sum of its draw divided once,
+    equal bit for bit and in type to ``statistics.mean`` of the same draw:
+    int/int true division rounds correctly, as does the float that
+    ``statistics.mean`` makes from its exact ``Fraction``.  The draws are
+    the same ``rng.choices`` calls.  Only all-``int`` and all-finite-``float``
+    samples take this path; anything else (NaN, inf, bool, numpy scalars,
+    ``Decimal``, int/float mixes) falls back to ``statistics.mean`` itself.
+    """
     if not values:
         raise ConfigurationError("cannot bootstrap an empty sample")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
+    if resamples < 1:
+        raise ConfigurationError(f"resamples must be at least 1, got {resamples}")
     if len(values) == 1:
         return (values[0], values[0])
-    means = sorted(
-        mean(rng.choices(values, k=len(values))) for _ in range(resamples)
-    )
+    size = len(values)
+    kinds = {type(value) for value in values}
+    scaling = _float_scaling(values) if kinds == {float} else None
+    if kinds == {int}:
+        # Like statistics.mean, an all-int mean stays an int when integral.
+        totals = [sum(rng.choices(values, k=size)) for _ in range(resamples)]
+        means = [total // size if total % size == 0 else total / size for total in totals]
+    elif scaling is not None:
+        numerators, denominator = scaling
+        divisor = denominator * size
+        means = [sum(rng.choices(numerators, k=size)) / divisor for _ in range(resamples)]
+    else:
+        means = [mean(rng.choices(values, k=size)) for _ in range(resamples)]
+    means.sort()
     tail = (1.0 - confidence) / 2.0
     low_index = int(tail * (resamples - 1))
     high_index = int((1.0 - tail) * (resamples - 1))

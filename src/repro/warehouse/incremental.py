@@ -14,10 +14,10 @@ invariant — while a steady-state call touches only the handful of rows
 that are actually new.
 
 The sorted value list (not just the moments) is what makes exactness
-possible: medians, percentile bootstraps and ``statistics.mean``'s
-exact-fraction arithmetic all depend on the individual values.  The
-moments ride along as cheap cross-checks and for future moment-only
-consumers.
+possible: medians and percentile bootstraps depend on the individual
+values, and each resample mean is an exact integer sum of its draw divided
+once, equal bit for bit to ``statistics.mean``.  The moments ride along as
+cheap cross-checks and for future moment-only consumers.
 
 Caches invalidate wholesale when the index's **mutation counter** moves —
 any supersede/delete of an existing row (``add(replace=True)``, shard

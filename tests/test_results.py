@@ -1,7 +1,12 @@
 """Tests for the results warehouse: records, store, aggregation, comparison."""
 
+import importlib
 import json
 import math
+import random
+import statistics
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.results import (
     register_bound,
     render_report,
 )
+from repro.results.aggregate import DEFAULT_GROUP_BY, bootstrap_ci
 from repro.results.compare import (
     VERDICT_ABOVE,
     VERDICT_WITHIN,
@@ -31,6 +37,9 @@ from repro.results.compare import (
 from repro.results.report import render_markdown_table, render_table
 from repro.scenarios import ScenarioSpec, sweep
 from repro.utils.validation import ConfigurationError
+
+# The package re-exports the function ``aggregate`` under the module's name.
+aggregate_module = importlib.import_module("repro.results.aggregate")
 
 
 def small_specs(repetitions=2, nodes=(8, 10)):
@@ -80,6 +89,38 @@ def synthetic_record(algorithm, n, k, s, repetition, amortized, competitive=None
         ),
         token_learnings=n * k,
     )
+
+
+def reference_bootstrap_ci(values, *, confidence=0.95, resamples=200, rng):
+    """The bootstrap as it was before exact integer sums: one
+    ``statistics.mean`` (exact ``Fraction`` arithmetic) per resample.
+    :func:`bootstrap_ci` must match it bit for bit, in type, and in the
+    generator state it leaves behind."""
+    if not values:
+        raise ConfigurationError("cannot bootstrap an empty sample")
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
+    if len(values) == 1:
+        return (values[0], values[0])
+    means = sorted(
+        statistics.mean(rng.choices(values, k=len(values))) for _ in range(resamples)
+    )
+    tail = (1.0 - confidence) / 2.0
+    low_index = int(tail * (resamples - 1))
+    high_index = int((1.0 - tail) * (resamples - 1))
+    return (means[low_index], means[high_index])
+
+
+def assert_same_bootstrap(values, seed, **options):
+    """``bootstrap_ci`` equals the reference in type and repr (so in every
+    bit, NaN and signed zero included) and consumes the same draws."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = bootstrap_ci(values, rng=ours, **options)
+    expected = reference_bootstrap_ci(values, rng=theirs, **options)
+    assert [type(bound) for bound in got] == [type(bound) for bound in expected], values
+    assert [repr(bound) for bound in got] == [repr(bound) for bound in expected], values
+    assert ours.random() == theirs.random()
+    return got
 
 
 class TestRunRecord:
@@ -279,6 +320,88 @@ class TestAggregation:
     def test_grouping_by_component_parameter(self, run_records):
         rows = aggregate(run_records, group_by=("problem.num_nodes",))
         assert [row["problem.num_nodes"] for row in rows] == [8, 10]
+
+
+def _integral_floats(rng, size):
+    return [float(rng.randint(-1000, 10**6)) for _ in range(size)]
+
+
+def _amortized_ratios(rng, size):
+    return [rng.randint(0, 10**6) / rng.randint(1, 5000) for _ in range(size)]
+
+
+def _extreme_magnitudes(rng, size):
+    return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300) for _ in range(size)]
+
+
+def _subnormals(rng, size):
+    # Signed multiples of the smallest subnormal, from ±0.0 to above
+    # 2**-1022; means of the smallest ones underflow to ±0.0.
+    return [
+        rng.choice((-1.0, 1.0)) * (rng.randint(0, 2 ** rng.randint(0, 54)) * 5e-324)
+        for _ in range(size)
+    ]
+
+
+def _ints(rng, size):
+    return [rng.randint(-50, 10**5) for _ in range(size)]
+
+
+class TestExactBootstrap:
+    """Exact integer resample means against the ``statistics.mean`` loop."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [_integral_floats, _amortized_ratios, _extreme_magnitudes, _subnormals, _ints],
+    )
+    def test_bit_identical_to_statistics_mean(self, draw):
+        rng = random.Random(f"exact-bootstrap-{draw.__name__}")
+        for _ in range(500):
+            values = sorted(draw(rng, rng.randint(2, 12)))
+            confidence = rng.choice((0.5, 0.9, 0.95, 0.99))
+            bounds = assert_same_bootstrap(
+                values, rng.randrange(2**32), confidence=confidence, resamples=50
+            )
+            if draw is _ints:
+                # An all-int sample keeps statistics.mean's int when integral.
+                for bound in bounds:
+                    assert type(bound) is (int if bound == int(bound) else float)
+
+    def test_default_resamples_on_amortized_ratios(self):
+        rng = random.Random("exact-bootstrap-default")
+        for _ in range(40):
+            assert_same_bootstrap(sorted(_amortized_ratios(rng, 7)), rng.randrange(2**32))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, float("nan"), 3.0],
+            [float("inf"), 2.5, 4.0],
+            [float("-inf"), float("inf"), 1.0],
+            [1, 2.5, 4],
+            [True, False, True],
+            [Decimal("0.1"), Decimal("0.25"), Decimal("7")],
+            [Fraction(1, 3), Fraction(2, 7), Fraction(5, 2)],
+        ],
+        ids=["nan", "inf", "both-infinities", "int-float-mix", "bool", "decimal", "fraction"],
+    )
+    def test_other_values_fall_back_to_statistics_mean(self, values):
+        for seed in range(20):
+            assert_same_bootstrap(values, seed, resamples=30)
+
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_non_positive_resamples_are_rejected(self, resamples, run_records):
+        for values in ([1.0, 2.0], [1.0]):
+            with pytest.raises(ConfigurationError, match="resamples"):
+                bootstrap_ci(values, resamples=resamples, rng=random.Random(1))
+        with pytest.raises(ConfigurationError, match="resamples"):
+            aggregate(run_records, resamples=resamples)
+
+    @pytest.mark.parametrize("group_by", [("algorithm",), ("n",), DEFAULT_GROUP_BY])
+    def test_aggregate_rows_equal_reference_rows(self, run_records, monkeypatch, group_by):
+        rows = json.dumps(aggregate(run_records, group_by))
+        monkeypatch.setattr(aggregate_module, "bootstrap_ci", reference_bootstrap_ci)
+        assert rows == json.dumps(aggregate(run_records, group_by))
 
 
 class TestComparison:

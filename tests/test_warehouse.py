@@ -283,6 +283,14 @@ class TestByteIdenticalAggregation:
         assert watermark == index.max_rowid()
         assert query.aggregate() == first
 
+    @pytest.mark.parametrize("resamples", [0, -3])
+    def test_non_positive_resamples_are_rejected(self, tmp_path, resamples):
+        store = populated_store(tmp_path)
+        index = WarehouseIndex(store.path)
+        index.sync()
+        with pytest.raises(ConfigurationError, match="resamples"):
+            index.query().aggregate(resamples=resamples)
+
 
 class TestObservability:
     def test_sync_records_counters_and_timings(self, tmp_path):
