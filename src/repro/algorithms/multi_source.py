@@ -139,8 +139,9 @@ class MultiSourceUnicastAlgorithm(UnicastAlgorithm):
         self._requests_sent_previous = {node: {} for node in self.nodes}
         self._requests_sent_current = {node: {} for node in self.nodes}
         for node in self.nodes:
-            for source in self._catalog_sources:
-                if self._holds_all_of(node, source):
+            known = self.known_tokens(node)
+            for source, tokens in validated.items():
+                if known.issuperset(tokens):
                     self._complete_wrt[node].add(source)
 
     def on_setup(self) -> None:

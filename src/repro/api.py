@@ -55,7 +55,6 @@ way and always carry the spec as written.
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from typing import (
@@ -892,6 +891,10 @@ class RunSet:
                     pending, plan.extensions, plan.collect_timings
                 )
                 workers = min(workers, len(payloads))
+                # Imported here, not at module level: only a parallel run
+                # needs it, and it would cost every fresh ``import repro``.
+                import multiprocessing
+
                 with multiprocessing.Pool(processes=workers) as pool:
                     # imap (not imap_unordered) keeps batch order, which keeps
                     # parallel output byte-identical to the serial path.  Each

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -30,10 +31,27 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
 from repro.utils.ids import Edge, NodeId, normalize_edge, validate_edges, validate_nodes
 from repro.utils.validation import ConfigurationError, SimulationError
+
+if TYPE_CHECKING:  # networkx is the optional ``repro[graphs]`` extra
+    import networkx as nx
+
+
+def _require_networkx(feature: str):
+    """Import and return networkx, or explain how to install it.
+
+    networkx is an optional dependency (the ``repro[graphs]`` extra): only
+    the two ``graph()`` exports use it, so ``import repro`` never loads it.
+    """
+    try:
+        import networkx
+    except ImportError as error:
+        raise ConfigurationError(
+            f"{feature} needs networkx, which is an optional dependency; "
+            "install it with: pip install \"repro[graphs]\" (or: pip install networkx)"
+        ) from error
+    return networkx
 
 
 class DynamicGraphTrace:
@@ -244,8 +262,12 @@ class DynamicGraphTrace:
         return self._prefix_totals(max(up_to_round, 0), "an edge-removals prefix")[1]
 
     def graph(self, round_index: int) -> nx.Graph:
-        """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes)."""
-        graph = nx.Graph()
+        """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes).
+
+        Needs networkx, the ``repro[graphs]`` extra; without it this raises
+        :class:`ConfigurationError`.
+        """
+        graph = _require_networkx("DynamicGraphTrace.graph()").Graph()
         graph.add_nodes_from(self._nodes)
         graph.add_edges_from(self.edges_in_round(round_index))
         return graph
@@ -363,8 +385,12 @@ class GraphSchedule:
         return id_sets[min(round_index, len(id_sets)) - 1]
 
     def graph(self, round_index: int) -> nx.Graph:
-        """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes)."""
-        graph = nx.Graph()
+        """Return ``G_r`` as a :class:`networkx.Graph` (including isolated nodes).
+
+        Needs networkx, the ``repro[graphs]`` extra; without it this raises
+        :class:`ConfigurationError`.
+        """
+        graph = _require_networkx("GraphSchedule.graph()").Graph()
         graph.add_nodes_from(self._nodes)
         graph.add_edges_from(self.edges_for_round(round_index))
         return graph

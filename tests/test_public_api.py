@@ -139,18 +139,22 @@ class TestTyping:
 
 
 class TestCoreWithoutNumpy:
-    """``pyproject.toml`` promises a core that needs only networkx; numpy is
-    the ``repro[fast]`` extra.  A fresh interpreter with numpy blocked must
+    """``pyproject.toml`` promises a core that needs only the standard
+    library; numpy is the ``repro[fast]`` extra and networkx the
+    ``repro[graphs]`` extra.  A fresh interpreter with both blocked must
     import the package, plan experiments, and explain the missing extra
-    only where numpy is really needed."""
+    only where it is really needed."""
 
     SCRIPT = textwrap.dedent(
         """
         import sys
         sys.modules["numpy"] = None
+        sys.modules["networkx"] = None
 
         import repro
         import repro.api
+        import repro.backends
+        import repro.warehouse
         from repro.analysis.experiments import fit_power_law
 
         plan = repro.Experiment.grid(
@@ -164,6 +168,17 @@ class TestCoreWithoutNumpy:
             print("ConfigurationError:", error)
         else:
             raise SystemExit("fit_power_law ran without numpy")
+
+        trace = repro.DynamicGraphTrace([0, 1, 2])
+        trace.record_round([(0, 1), (1, 2)])
+        schedule = repro.static_path_schedule(3)
+        for owner in (trace, schedule):
+            try:
+                owner.graph(1)
+            except repro.ConfigurationError as error:
+                print("graph ConfigurationError:", error)
+            else:
+                raise SystemExit(f"{type(owner).__name__}.graph ran without networkx")
         """
     )
 
@@ -171,6 +186,85 @@ class TestCoreWithoutNumpy:
         completed = run_fresh_interpreter(self.SCRIPT)
         assert "ConfigurationError:" in completed.stdout
         assert "repro[fast]" in completed.stdout
+
+    def test_graph_exports_name_the_graphs_extra_without_networkx(self):
+        lines = [
+            line
+            for line in run_fresh_interpreter(self.SCRIPT).stdout.splitlines()
+            if line.startswith("graph ConfigurationError:")
+        ]
+        assert len(lines) == 2, lines
+        trace_line, schedule_line = lines
+        assert "DynamicGraphTrace.graph()" in trace_line
+        assert "GraphSchedule.graph()" in schedule_line
+        for line in lines:
+            assert "repro[graphs]" in line
+
+
+class TestStdlibOnlyStartup:
+    """A fresh ``import repro`` that plans one spec of each benchmark shape
+    loads nothing outside the standard library and ``repro`` itself: every
+    experiment process pays for what this start imports."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import json
+        import sys
+
+        before = set(sys.modules)
+        import repro
+        import repro.backends
+        import repro.warehouse
+
+        specs = [
+            repro.ScenarioSpec(
+                problem="single-source",
+                problem_params={{"num_nodes": 8, "num_tokens": 16}},
+                algorithm="single-source",
+                adversary="churn",
+                adversary_params={{"changes_per_round": 3, "edge_probability": 0.3}},
+                seed=1,
+            ),
+            repro.ScenarioSpec(
+                problem="multi-source",
+                problem_params={{"num_nodes": 18, "num_sources": 12, "num_tokens": 12, "seed": 1}},
+                algorithm="oblivious",
+                algorithm_params={{"force_two_phase": True, "center_probability": 0.2}},
+                adversary="rewiring-regular",
+                adversary_params={{"num_nodes": 18, "num_rounds": 200, "degree": 6, "seed": 1}},
+                seed=1,
+            ),
+            repro.ScenarioSpec(
+                problem="random-placement",
+                problem_params={{"num_nodes": 8, "num_tokens": 8, "seed": 1}},
+                algorithm="flooding",
+                adversary="lower-bound",
+                seed=1,
+            ),
+        ]
+        plan = repro.Experiment.from_specs(specs).seeds(2).store({store!r}).plan()
+        assert len(plan.cells) == 6, plan.cells
+
+        loaded = set(sys.modules) - before
+        print(json.dumps({{
+            "outside": sorted(
+                name for name in loaded
+                if name.partition(".")[0] not in sys.stdlib_module_names
+                and name.partition(".")[0] != "repro"
+            ),
+            "heavy": [
+                name for name in ("networkx", "numpy", "multiprocessing")
+                if name in sys.modules
+            ],
+        }}))
+        """
+    )
+
+    def test_import_and_plan_load_only_the_standard_library(self, tmp_path):
+        script = self.SCRIPT.format(store=str(tmp_path / "store"))
+        loaded = json.loads(run_fresh_interpreter(script).stdout.splitlines()[-1])
+        assert loaded["outside"] == [], loaded["outside"]
+        assert loaded["heavy"] == [], loaded["heavy"]
 
 
 def run_fresh_interpreter(script):
