@@ -42,8 +42,8 @@ record set (cached + fresh), so aggregates and reports are byte-identical
 to a cold full run.
 
 **Engine choice.**  Consecutive pending cells of the same spec form one
-group, and :func:`execute_group` — behind the in-process path, the worker
-pool and the service daemon alike — picks the engine for it.  When the
+group, and :func:`execute_group` — behind the in-process path and the
+worker pool alike — picks the engine for it.  When the
 spec names the default backend, a vectorizable group (the algorithm has a
 batch program, the adversary is oblivious, numpy is installed) runs
 through the vectorized batch backend (:mod:`repro.batch`) in one pass,
@@ -650,9 +650,8 @@ def execute_group(
 ) -> List[Tuple[Record, CellMeta]]:
     """Run a same-spec repetition group on the engine picked for it.
 
-    The unit of work behind the in-process path, the ``RunSet`` worker
-    pool and the service daemon, and the one place a sweep cell's engine
-    is chosen:
+    The unit of work behind the in-process path and the ``RunSet`` worker
+    pool, and the one place a sweep cell's engine is chosen:
 
     * a vectorizable group (:func:`vectorizable_group`) runs all
       repetitions as lockstep lanes of one batch kernel;
@@ -727,10 +726,10 @@ GroupPayload = Tuple[str, Tuple[int, ...], Tuple[str, ...], bool]
 def execute_group_payload(payload: GroupPayload) -> List[Tuple[Record, CellMeta]]:
     """Worker entry point: rebuild the spec and run a repetition group.
 
-    Picklable by module path, so process pools (``RunSet`` workers, the
-    service daemon's pool) ship groups as :data:`GroupPayload` tuples; a
-    worker runs all lanes of a vectorizable grid cell in one batch-kernel
-    pass while other groups occupy other cores.
+    Picklable by module path, so ``RunSet``'s process pool ships groups as
+    :data:`GroupPayload` tuples; a worker runs all lanes of a vectorizable
+    grid cell in one batch-kernel pass while other groups occupy other
+    cores.
     """
     spec_json, repetitions, extension_modules, collect_timings = payload
     for module_name in extension_modules:
@@ -765,24 +764,6 @@ def group_payloads(
                 for repetition in repetitions
             )
     return payloads
-
-
-def _cell_completed(
-    index: int, total: int, cell: PlanCell, record: Record, meta: CellMeta
-) -> CellCompleted:
-    """The ``CellCompleted`` event of one freshly executed plan cell."""
-    return CellCompleted(
-        index=index,
-        total=total,
-        scenario=cell.spec.label,
-        repetition=cell.repetition,
-        backend=meta["backend"],
-        seconds=meta["seconds"],
-        completed=record["completed"],
-        rounds=record["rounds"],
-        total_messages=record["total_messages"],
-        stage_seconds=meta["stage_seconds"],
-    )
 
 
 class RunSet:
@@ -966,7 +947,20 @@ class RunSet:
                     )
                     self._stored += added
                 if observers:
-                    self._notify(_cell_completed(index, total, cell, record, meta))
+                    self._notify(
+                        CellCompleted(
+                            index=index,
+                            total=total,
+                            scenario=cell.spec.label,
+                            repetition=cell.repetition,
+                            backend=meta["backend"],
+                            seconds=meta["seconds"],
+                            completed=record["completed"],
+                            rounds=record["rounds"],
+                            total_messages=record["total_messages"],
+                            stage_seconds=meta["stage_seconds"],
+                        )
+                    )
             self._collected.append(record)
             yield record
 

@@ -24,10 +24,6 @@ problems show up automatically:
 * ``trace`` — inspect JSONL trace files written by ``run``/``sweep``
   ``--trace``: ``trace summarize`` renders a per-backend, per-stage
   (Commit/Adversary/Delivery/Accounting) timing table;
-* ``serve`` / ``submit`` / ``status`` / ``results`` / ``shutdown`` — the
-  experiment service (:mod:`repro.service`): a long-running daemon whose
-  job queue coalesces duplicate cells across clients and persists every
-  record to a shared run store as it completes;
 * ``table1`` — regenerate Table 1 (analytic bounds) for a given n;
 * ``bounds`` — evaluate every theorem bound at a given (n, k, s).
 
@@ -451,107 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report heading",
     )
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the experiment service daemon (async job queue over a socket)",
-    )
-    serve.add_argument(
-        "--store",
-        metavar="DIR",
-        required=True,
-        help="the shared run-store directory; submissions dedup against it "
-        "and completed records persist into it as they land",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes executing cells (0 runs cells inline on one "
-        "thread — useful for tests)",
-    )
-    serve.add_argument(
-        "--import",
-        dest="import_modules",
-        action="append",
-        default=[],
-        metavar="MODULE",
-        help="import a module registering third-party components in the "
-        "daemon and its workers (repeatable)",
-    )
-    serve.add_argument(
-        "--timings",
-        action="store_true",
-        help="collect per-stage timings for every executed cell (streamed in "
-        "CellCompleted events)",
-    )
-    _add_service_address_arguments(serve)
-
-    submit = subparsers.add_parser(
-        "submit",
-        help="submit a sweep to a running service daemon and stream its progress",
-    )
-    _add_scenario_arguments(submit)
-    submit.add_argument(
-        "--grid",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
-        help="sweep dimension, exactly as for 'repro sweep' (repeatable)",
-    )
-    submit.add_argument(
-        "--repetitions", type=int, default=1, help="independently seeded runs per scenario"
-    )
-    submit.add_argument(
-        "--detach",
-        action="store_true",
-        help="submit and return immediately; follow up with 'repro status' "
-        "and 'repro results JOB'",
-    )
-    submit.add_argument(
-        "--json", action="store_true", help="print the job's records as JSON lines"
-    )
-    submit.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write the streamed progress events to a JSONL trace file",
-    )
-    _add_service_address_arguments(submit)
-
-    status = subparsers.add_parser(
-        "status", help="show the jobs of a running service daemon"
-    )
-    status.add_argument(
-        "job", nargs="?", default=None, metavar="JOB", help="show one job only"
-    )
-    status.add_argument(
-        "--json", action="store_true", help="emit the status as JSON"
-    )
-    _add_service_address_arguments(status)
-
-    results = subparsers.add_parser(
-        "results", help="fetch a finished service job's records and render them"
-    )
-    results.add_argument("job", metavar="JOB", help="the job id, e.g. job-0001")
-    results.add_argument(
-        "--format",
-        choices=("md", "text", "csv", "json"),
-        default="md",
-        help="md renders the full paper-vs-measured report (as 'repro report'); "
-        "text/csv/json render the aggregate table (as 'repro analyze')",
-    )
-    results.add_argument(
-        "--output", metavar="FILE", default=None, help="write the output to a file"
-    )
-    _add_service_address_arguments(results)
-
-    shutdown = subparsers.add_parser(
-        "shutdown",
-        help="gracefully stop the service daemon: drain in-flight cells, "
-        "reject new jobs, exit",
-    )
-    _add_service_address_arguments(shutdown)
-
     table1 = subparsers.add_parser("table1", help="regenerate Table 1 for a given n")
     table1.add_argument("-n", "--nodes", type=int, default=4096)
 
@@ -616,26 +511,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SECTION.KEY=VALUE",
         help="override a component parameter, e.g. --set adversary.changes_per_round=3 "
         "(sections: problem, algorithm, adversary; repeatable)",
-    )
-
-
-def _add_service_address_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="UNIX socket the daemon listens on (default .repro-service.sock)",
-    )
-    parser.add_argument(
-        "--host",
-        default=None,
-        help="serve/connect over TCP on this host instead of a UNIX socket",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="TCP port (with --host; 0 lets the daemon pick one)",
     )
 
 
@@ -964,7 +839,7 @@ def _resync_adversary_num_nodes(
 
 
 def _sweep_specs(args: argparse.Namespace) -> List[ScenarioSpec]:
-    """The expanded spec batch of a sweep/submit invocation's flags."""
+    """The expanded spec batch of a sweep invocation's flags."""
     base = _spec_from_args(args, repetitions=args.repetitions)
     grid = _parse_grid(args.grid)
     overrides = _parse_overrides(args.overrides)
@@ -1430,142 +1305,6 @@ def command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_client(args: argparse.Namespace):
-    """Connect to a running daemon at the address the flags describe."""
-    from repro.service import ServiceClient
-
-    try:
-        return ServiceClient(
-            socket_path=args.socket, host=args.host, port=args.port
-        )
-    except OSError as error:
-        target = args.socket or (
-            f"{args.host}:{args.port}" if args.host else ".repro-service.sock"
-        )
-        raise ConfigurationError(
-            f"cannot connect to the repro service at {target} ({error}); "
-            f"is 'repro serve' running?"
-        ) from error
-
-
-def command_serve(args: argparse.Namespace) -> int:
-    """Run the experiment service daemon until shutdown."""
-    import importlib
-
-    from repro.service import ExperimentServer
-
-    for module_name in args.import_modules:
-        try:
-            importlib.import_module(module_name)
-        except ImportError as error:
-            raise ConfigurationError(
-                f"cannot import module {module_name!r}: {error}"
-            ) from error
-    server = ExperimentServer(
-        args.store,
-        workers=args.workers,
-        socket=args.socket,
-        host=args.host,
-        port=args.port,
-        extensions=tuple(args.import_modules),
-        collect_timings=args.timings,
-    )
-    return server.run()
-
-
-def command_submit(args: argparse.Namespace) -> int:
-    """Submit a sweep to the daemon; stream its progress unless --detach."""
-    from repro.obs import ProgressPrinter, RunFinished
-
-    specs = _sweep_specs(args)
-    client = _service_client(args)
-    try:
-        ack = client.submit(specs, watch=not args.detach)
-        if args.detach:
-            print(
-                f"{ack['job']}: {ack['cells']} cell(s) "
-                f"({ack['pending']} pending, {ack['cached']} cached); "
-                f"follow with 'repro status {ack['job']}'"
-            )
-            return 0
-        # The same renderer the in-process sweep path uses, fed from the
-        # socket stream: live line on a TTY, one summary line otherwise.
-        printer = ProgressPrinter(label="submit")
-        finish: Optional[RunFinished] = None
-        with _trace_observer(args.trace) as trace_observers:
-            for event in client.events():
-                printer.render(event)
-                for observer in trace_observers:
-                    observer(event)
-                if isinstance(event, RunFinished):
-                    finish = event
-        records = client.results(ack["job"])
-        if args.json:
-            for record in records:
-                print(record_to_json_line(record))
-        else:
-            print(_records_table(records))
-            if finish is not None:
-                print(
-                    f"\n{ack['job']} done: {finish.cells} cell(s), "
-                    f"{finish.executed} executed, {finish.cached} cached "
-                    f"in {finish.seconds:.2f}s"
-                )
-            if args.trace is not None:
-                print(f"trace -> {args.trace}")
-        return 0 if all(record["completed"] for record in records) else 1
-    finally:
-        client.close()
-
-
-def command_status(args: argparse.Namespace) -> int:
-    """Show the daemon's job table (or one job)."""
-    client = _service_client(args)
-    try:
-        jobs = client.status(args.job)
-    finally:
-        client.close()
-    if args.json:
-        print(json.dumps(jobs, indent=2, sort_keys=True))
-        return 0
-    columns = ["job", "state", "cells", "cached", "executed", "coalesced", "error"]
-    rows = [[job.get(column, "") for column in columns] for job in jobs]
-    print(format_table(columns, rows))
-    return 0
-
-
-def command_results(args: argparse.Namespace) -> int:
-    """Fetch a finished job's records and render them like report/analyze."""
-    client = _service_client(args)
-    try:
-        records = client.results(args.job)
-    finally:
-        client.close()
-    runset = RunSet.from_records(records)
-    if args.format == "md":
-        document = runset.report(title=f"Results report — {args.job}")
-    else:
-        document = runset.aggregate().table(args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(document)
-    return 0
-
-
-def command_shutdown(args: argparse.Namespace) -> int:
-    """Ask the daemon to drain in-flight jobs and exit."""
-    client = _service_client(args)
-    try:
-        ack = client.shutdown()
-    finally:
-        client.close()
-    print(f"service shutting down ({ack['draining']} job(s) draining)")
-    return 0
-
-
 def command_table1(args: argparse.Namespace) -> int:
     print(render_table1(args.nodes))
     return 0
@@ -1599,11 +1338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "list": command_list,
         "bench": command_bench,
         "trace": command_trace,
-        "serve": command_serve,
-        "submit": command_submit,
-        "status": command_status,
-        "results": command_results,
-        "shutdown": command_shutdown,
         "table1": command_table1,
         "bounds": command_bounds,
     }

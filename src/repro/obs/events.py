@@ -143,15 +143,7 @@ class ProgressPrinter:
         self._line_width = 0
 
     def __call__(self, event: ProgressEvent) -> None:
-        self.render(event)
-
-    def render(self, event: ProgressEvent) -> None:
-        """Fold one event into the live display.
-
-        Exposed separately from :meth:`__call__` so callers that receive
-        events from elsewhere (the service client streaming frames off a
-        socket) can drive the same TTY/non-TTY rendering logic.
-        """
+        """Fold one event into the live display."""
         if isinstance(event, CellStarted):
             self._total = event.total
             self._draw(f"cell {event.index + 1}/{event.total} {event.scenario}")

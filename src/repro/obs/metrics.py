@@ -12,7 +12,7 @@ instruments:
 ``registry.snapshot()`` renders everything to a JSON-ready dict, and
 :meth:`MetricsRegistry.publish` pushes that snapshot to any number of
 :class:`MetricsSink`s — in-memory (tests), human-readable stderr lines, or
-JSONL (the format the future ``repro serve`` will stream to clients).
+JSONL (one snapshot per line).
 ``repro bench`` routes its measurements through this registry so bench
 payloads and trace files share one vocabulary.
 
@@ -145,7 +145,7 @@ class StderrSink(MetricsSink):
 
 
 class JsonlSink(MetricsSink):
-    """Appends each snapshot as one JSON line; streamable by `repro serve`."""
+    """Appends each snapshot as one JSON line."""
 
     def __init__(self, stream: TextIO) -> None:
         self._stream = stream

@@ -152,11 +152,11 @@ class RunStore:
     def _write_lock(self) -> Iterator[None]:
         """Advisory exclusive lock serialising writers across processes.
 
-        The service daemon and a concurrent ``repro sweep --store`` may
-        append to the same store; the lock keeps shard appends and the
-        manifest replace from interleaving mid-write.  Best effort: where
-        ``fcntl`` is unavailable the store falls back to unlocked writes
-        (single-writer semantics, as before).
+        Concurrent ``repro sweep --store`` runs may append to the same
+        store; the lock keeps shard appends and the manifest replace from
+        interleaving mid-write.  Best effort: where ``fcntl`` is
+        unavailable the store falls back to unlocked writes (single-writer
+        semantics, as before).
         """
         if fcntl is None:
             yield

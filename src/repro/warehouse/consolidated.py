@@ -1,8 +1,8 @@
 """Consolidated cross-experiment reports over a whole run store.
 
 A single store accumulates many experiments — different algorithms,
-adversaries, problem grids, runs submitted over weeks through the service
-daemon.  :func:`render_consolidated_report` reads everything the
+adversaries, problem grids, sweeps persisted into it over weeks.
+:func:`render_consolidated_report` reads everything the
 warehouse index holds and renders one artifact: an inventory of the
 store, a per-``algorithm × adversary`` overview, and for each such pair
 the full aggregate table plus the paper-bound verdicts.  Everything goes

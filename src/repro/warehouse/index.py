@@ -21,9 +21,9 @@ that nothing lives only in sqlite.
 
 A live :class:`~repro.results.store.RunStore` writer can :meth:`attach` the
 index: every shard append then lands in sqlite in the same breath (under
-the store's writer lock), keeping the index warm with zero re-reads — the
-service daemon uses this so consolidated queries over its store are always
-current.
+the store's writer lock), keeping the index warm with zero re-reads.  An
+:class:`~repro.api.Experiment` planned against a store that has an index
+attaches it, so the cells its run persists are queryable at once.
 """
 
 from __future__ import annotations

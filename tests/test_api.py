@@ -1,5 +1,6 @@
 """Tests for the fluent Experiment API (:mod:`repro.api`)."""
 
+import errno
 import json
 import types
 
@@ -13,6 +14,7 @@ from repro.api import (
     RunSet,
     load_runs,
 )
+from repro.obs import CellCompleted
 from repro.results import RunStore
 from repro.scenarios import ScenarioSpec, record_to_json_line, run_spec, sweep
 from repro.utils.validation import ConfigurationError, ReproError
@@ -201,6 +203,11 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match="workers"):
             small_experiment().plan().run(workers=0)
 
+    @pytest.mark.parametrize("workers", [-1, True])
+    def test_workers_must_be_a_positive_int(self, workers):
+        with pytest.raises(ConfigurationError, match="positive int"):
+            small_experiment().run(workers=workers)
+
 
 class TestRunSet:
     def test_records_match_the_reference_engine_byte_for_byte(self):
@@ -266,6 +273,47 @@ class TestRunSet:
         assert len(records) == 4
         assert runset.executed_count == 4  # each cell executed exactly once
         assert runset.cached_count == 0
+
+    def test_abandoned_parallel_iteration_resumes_without_reexecuting(self, tmp_path):
+        runset = small_experiment().store(tmp_path / "store").run(workers=2)
+        for record in runset:
+            first = record
+            break  # abandon mid-run: the worker pool is torn down
+        records = runset.records()
+        assert records[0] == first
+        assert records == small_experiment().run().records()
+        assert runset.executed_count == 4
+        assert len(RunStore(tmp_path / "store")) == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_store_write_propagates_and_a_rerun_executes_every_cell(
+        self, tmp_path, monkeypatch, workers
+    ):
+        experiment = small_experiment().store(tmp_path / "store")
+
+        def full_disk(self, records, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RunStore, "add", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                experiment.run(workers=workers).records()
+        # Nothing was stored, so the re-run plans and executes every cell.
+        assert experiment.plan().describe()["pending"] == 4
+        retry = experiment.run(workers=workers)
+        assert retry.records() == small_experiment().run().records()
+        assert retry.executed_count == 4
+        assert len(RunStore(tmp_path / "store")) == 4
+
+    def test_parallel_non_vectorizable_cells_run_on_bitset(self):
+        specs = churn_experiment(num_nodes=[6, 8]).seeds(3).specs()
+        events = []
+        records = (
+            Experiment.from_specs(specs).observe(events.append).run(workers=2).records()
+        )
+        completed = [event for event in events if isinstance(event, CellCompleted)]
+        assert [event.backend for event in completed] == ["bitset"] * 6
+        assert records == [record for spec in specs for record in run_spec(spec)]
 
     def test_materialized_runset_replays_without_reexecuting(self):
         runset = small_experiment().run()
@@ -362,6 +410,19 @@ class TestIncrementalReruns:
         second = experiment.run()
         assert (second.executed_count, second.cached_count) == (0, 4)
         assert second.records() == first.records()
+
+    def test_parallel_rerun_is_fully_cached_and_byte_identical(self, tmp_path):
+        experiment = small_experiment().store(tmp_path / "store")
+        first = experiment.run(workers=2)
+        records = first.records()
+        assert (first.executed_count, first.cached_count) == (4, 0)
+        events = []
+        second = experiment.observe(events.append).run(workers=2)
+        assert json.dumps(second.records()) == json.dumps(records)
+        assert (second.executed_count, second.cached_count) == (0, 4)
+        assert [type(event).__name__ for event in events] == (
+            ["CellCached"] * 4 + ["RunFinished"]
+        )
 
     def test_grown_grid_executes_only_the_delta(self, tmp_path):
         experiment = small_experiment().store(tmp_path / "store")

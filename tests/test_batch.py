@@ -17,7 +17,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.api import Experiment, execute_cell, execute_group
+from repro.api import (
+    Experiment,
+    execute_cell,
+    execute_group,
+    execute_group_payload,
+    group_payloads,
+)
 from repro.backends import BatchBackend, get_backend
 from repro.backends.differential import validate_backends
 from repro.batch.backend import can_vectorize_spec
@@ -389,6 +395,37 @@ class TestEngineChoice:
         record, meta = execute_cell(spec, 1)
         assert meta["backend"] == "reference"
         assert record == run_spec(spec)[1]
+
+    def test_group_payloads_pack_whole_batch_groups_and_single_cells(self):
+        """A vectorizable spec travels as one payload of all its
+        repetitions, any other spec as one payload per cell; flattening
+        the executed payloads in order gives the serial records."""
+        vectorizable = flooding_spec(repetitions=2)
+        serial_only = flooding_spec(
+            algorithm="single-source",
+            algorithm_params={},
+            adversary="churn",
+            adversary_params={"changes_per_round": 2},
+            repetitions=3,
+        )
+        specs = [vectorizable, serial_only]
+        plan = Experiment.from_specs(specs).plan()
+        payloads = group_payloads(plan.pending, (), False)
+        assert len(plan.pending) == 5
+        assert [repetitions for _, repetitions, _, _ in payloads] == [
+            (0, 1),
+            (0,),
+            (1,),
+            (2,),
+        ]
+        outcomes = [
+            outcome
+            for payload in payloads
+            for outcome in execute_group_payload(payload)
+        ]
+        assert [record for record, _ in outcomes] == [
+            record for spec in specs for record in run_spec(spec)
+        ]
 
     def test_randomized_bulk_groups_match_serial(self):
         """Seeded draws of the three bulk programs under oblivious

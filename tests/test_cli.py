@@ -36,6 +36,13 @@ class TestParser:
         assert sorted(ALGORITHMS) == ALGORITHM_REGISTRY.names()
         assert sorted(ADVERSARIES) == ADVERSARY_REGISTRY.names()
 
+    def test_usage_lists_exactly_the_subcommands(self):
+        usage = " ".join(build_parser().format_usage().split())
+        assert (
+            "{run,sweep,analyze,report,verify-backend,list,bench,trace,"
+            "warehouse,table1,bounds}"
+        ) in usage
+
 
 class TestVersionFlag:
     def test_version_prints_and_exits_zero(self, capsys):
@@ -353,6 +360,10 @@ class TestThinAdapterExitCodes:
                      "--grid", "algorithm=floodng"]) == 2
         message = capsys.readouterr().err
         assert "did you mean 'flooding'" in message
+
+    def test_sweep_non_positive_workers_is_two(self, capsys):
+        assert main(["sweep", "-n", "8", "-k", "6", "--workers", "0"]) == 2
+        assert "workers must be a positive int, got 0" in capsys.readouterr().err
 
     def test_run_spec_with_unknown_backend_is_two(self, tmp_path, capsys):
         spec = ScenarioSpec(

@@ -1,6 +1,5 @@
 """Unit tests for DynamicGraphTrace and GraphSchedule."""
 
-import networkx as nx
 import pytest
 
 from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
@@ -51,6 +50,7 @@ class TestDynamicGraphTrace:
         assert trace.total_edge_removals() <= trace.topological_changes()
 
     def test_graph_returns_networkx_graph_with_all_nodes(self):
+        nx = pytest.importorskip("networkx")
         trace = DynamicGraphTrace([0, 1, 2, 3])
         trace.record_round([(0, 1)])
         graph = trace.graph(1)
@@ -151,6 +151,7 @@ class TestGraphSchedule:
         assert a == b
 
     def test_graph_accessor(self):
+        pytest.importorskip("networkx")
         schedule = GraphSchedule([0, 1, 2], [[(0, 1)]])
         graph = schedule.graph(1)
         assert set(graph.nodes) == {0, 1, 2}

@@ -316,6 +316,13 @@ class TestEventSerialization:
             event_to_dict({"event": "cell_started"})
 
 
+class TtyStream(io.StringIO):
+    """An in-memory stream that reports itself as a terminal."""
+
+    def isatty(self):
+        return True
+
+
 class TestProgressPrinter:
     def test_non_tty_prints_only_the_final_summary(self):
         stream = io.StringIO()  # isatty() is False
@@ -327,6 +334,68 @@ class TestProgressPrinter:
         assert "progress: sweep finished" in output
         assert "2 executed, 2 cached" in output
         assert "\r" not in output
+
+    def test_tty_redraws_one_line_in_place_then_clears_it(self):
+        stream = TtyStream()
+        printer = ProgressPrinter(stream, label="sweep")
+        for event in EVENTS[:-1]:
+            printer(event)
+        drawn = stream.getvalue()
+        assert "\n" not in drawn
+        frames = drawn.split("\r")[1:]
+        assert len(frames) == 3
+        assert frames[0].startswith("sweep: cell 1/4 s [")
+        assert frames[1].startswith("sweep: 1/4 cells (0 executed, 1 cached) [")
+        assert frames[2].startswith("sweep: 2/4 cells (1 executed, 1 cached) [")
+
+        printer(EVENTS[-1])
+        # The caller prints its own summary: finishing only blanks the line.
+        cleared = stream.getvalue()[len(drawn):]
+        assert cleared == "\r" + " " * len(frames[2]) + "\r"
+        assert "progress:" not in stream.getvalue()
+
+    def test_tty_pads_a_shorter_line_over_a_longer_one(self):
+        stream = TtyStream()
+        printer = ProgressPrinter(stream, label="sweep")
+        printer(
+            CellStarted(
+                index=0, total=2, scenario="x" * 60, repetition=0, backend="bitset"
+            )
+        )
+        printer(CellCached(index=1, total=2, scenario="x", repetition=0))
+        long_frame, short_frame = stream.getvalue().split("\r")[1:]
+        # Trailing blanks overwrite what is left of the longer line.
+        assert len(short_frame) == len(long_frame)
+        text = short_frame.rstrip(" ")
+        assert text.startswith("sweep: 1/2 cells (0 executed, 1 cached) [")
+        assert text.endswith("s]")
+        assert len(text) < len(short_frame)
+
+    def test_default_stream_is_stderr(self, capsys):
+        printer = ProgressPrinter(label="run")
+        for event in EVENTS:
+            printer(event)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("progress: run finished — 4 cell(s)")
+
+    def test_sweep_prints_one_summary_line_per_run(self, tmp_path, capsys):
+        from repro.cli import main
+
+        args = ["sweep", "-n", "8", "-k", "6", "--grid", "seed=0,1",
+                "--repetitions", "2", "--store", str(tmp_path / "store")]
+        assert main(args) == 0
+        first = capsys.readouterr().err.splitlines()
+        assert len(first) == 1
+        assert first[0].startswith(
+            "progress: sweep finished — 4 cell(s), 4 executed, 0 cached in "
+        )
+        assert main(args) == 0
+        second = capsys.readouterr().err.splitlines()
+        assert len(second) == 1
+        assert second[0].startswith(
+            "progress: sweep finished — 4 cell(s), 0 executed, 4 cached in "
+        )
 
 
 class TestProgressEventOrdering:
@@ -416,6 +485,29 @@ class TestProgressEventOrdering:
         assert completed
         for event in completed:
             assert set(event.stage_seconds) == set(KERNEL_STAGES)
+
+    def test_parallel_run_emits_the_serial_event_stream(self, tmp_path):
+        def comparable(events):
+            # Wall-clock fields are the only ones allowed to differ.
+            return [
+                {
+                    key: value
+                    for key, value in event_to_dict(event).items()
+                    if key not in ("seconds", "stage_seconds")
+                }
+                for event in events
+            ]
+
+        serial, serial_records = self.run_events(self.make_experiment(tmp_path / "serial"))
+        parallel = []
+        parallel_records = (
+            self.make_experiment(tmp_path / "parallel")
+            .observe(parallel.append)
+            .run(workers=2)
+            .records()
+        )
+        assert parallel_records == serial_records
+        assert comparable(parallel) == comparable(serial)
 
     def test_observe_rejects_non_callables(self, tmp_path):
         from repro.utils.validation import ConfigurationError

@@ -3,13 +3,18 @@
 import importlib
 import json
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Experiment
 from repro.cli import main
 from repro.results import (
@@ -573,3 +578,66 @@ class TestCliSweepStore:
         records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert {record["n"] for record in records} == {8, 10}
         assert all(record["spec"]["seed"] == 1 for record in records)
+
+
+def start_sweep(store, *args, stdout=subprocess.DEVNULL):
+    """Start ``repro sweep ARGS --store STORE`` in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", *args, "--store", str(store)],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+class TestSweepStoreProcesses:
+    """``repro sweep --store`` runs in separate processes on one store."""
+
+    def test_killed_sweep_rerun_executes_only_unfinished_cells(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        # Six one-cell scenarios of about a quarter second each, so the kill
+        # lands mid-run.
+        args = ["--algorithm", "single-source", "--adversary", "churn",
+                "-n", "160", "-k", "160", "--grid", "seed=1,2,3,4,5,6"]
+        process = start_sweep(store, *args, "--json", stdout=subprocess.PIPE)
+        try:
+            # A record reaches stdout only after the store has appended it.
+            first = process.stdout.readline()
+        finally:
+            process.kill()
+            _, errors = process.communicate(timeout=60)
+        assert first.startswith("{"), errors
+
+        persisted = len(RunStore(store))
+        assert 1 <= persisted < 6
+        assert main(["sweep", *args, "--store", str(store)]) == 0
+        executed = 6 - persisted
+        assert (
+            f"{executed} added, {persisted} already present ({executed} executed)"
+            in capsys.readouterr().out
+        )
+        records = RunStore(store).records()
+        assert len(records) == len({record.identity() for record in records}) == 6
+
+    def test_two_concurrent_sweeps_share_one_store(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        args = ["--algorithm", "single-source", "--adversary", "churn",
+                "-n", "64", "-k", "64", "--repetitions", "3", "--seed", "2"]
+        processes = [
+            start_sweep(store, *args, "--grid", grid)
+            for grid in ("problem.num_nodes=64,80", "problem.num_nodes=72,88")
+        ]
+        for process in processes:
+            _, errors = process.communicate(timeout=120)
+            assert process.returncode == 0, errors
+
+        records = RunStore(store).records()
+        assert len(records) == 12
+        assert len({record.identity() for record in records}) == 12
+        union = "problem.num_nodes=64,72,80,88"
+        assert main(["sweep", *args, "--grid", union, "--store", str(store)]) == 0
+        assert "0 added, 12 already present (0 executed)" in capsys.readouterr().out
