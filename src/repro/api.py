@@ -702,20 +702,34 @@ def execute_group(
     ]
 
 
-def _execute_pending(
-    pending: Sequence["PlanCell"], collect_timings: bool = False
-) -> Iterator[Tuple[Record, CellMeta]]:
-    """Execute pending cells in plan order, vectorizing eligible groups.
+def _work_units(
+    pending: Sequence["PlanCell"],
+) -> Iterator[Tuple[ScenarioSpec, Tuple[int, ...]]]:
+    """Split pending cells, in plan order, into units for :func:`execute_group`.
 
-    Plan order is spec-major, so consecutive grouping recovers exactly the
-    pending repetitions of each grid cell.
+    A vectorizable group of one spec's repetitions stays whole (one batch
+    kernel pass); every other cell is a unit of its own, so its record is
+    stored before the next cell runs.  Plan order is spec-major, so
+    consecutive grouping recovers exactly the pending repetitions of each
+    grid cell.
     """
     import itertools
 
     for spec, group in itertools.groupby(pending, key=lambda cell: cell.spec):
-        yield from execute_group(
-            spec, [cell.repetition for cell in group], collect_timings
-        )
+        repetitions = tuple(cell.repetition for cell in group)
+        if vectorizable_group(spec, len(repetitions)):
+            yield spec, repetitions
+        else:
+            for repetition in repetitions:
+                yield spec, (repetition,)
+
+
+def _execute_pending(
+    pending: Sequence["PlanCell"], collect_timings: bool = False
+) -> Iterator[Tuple[Record, CellMeta]]:
+    """Execute pending cells in plan order, one work unit at a time."""
+    for spec, repetitions in _work_units(pending):
+        yield from execute_group(spec, repetitions, collect_timings)
 
 
 #: A picklable same-spec repetition group:
@@ -744,26 +758,17 @@ def group_payloads(
     extensions: Tuple[str, ...],
     collect_timings: bool,
 ) -> List[GroupPayload]:
-    """Pack pending cells into worker tasks, one per batch group.
+    """Pack pending cells into worker tasks, one per work unit.
 
     Vectorizable groups travel whole (one ``run_batch`` per worker task);
     everything else ships as single-cell groups so the pool still spreads
     serial cells across cores.  Flattening the per-task outcome lists in
     task order reproduces plan order exactly.
     """
-    import itertools
-
-    payloads: List[GroupPayload] = []
-    for spec, group in itertools.groupby(pending, key=lambda cell: cell.spec):
-        repetitions = tuple(cell.repetition for cell in group)
-        if vectorizable_group(spec, len(repetitions)):
-            payloads.append((spec.to_json(), repetitions, extensions, collect_timings))
-        else:
-            payloads.extend(
-                (spec.to_json(), (repetition,), extensions, collect_timings)
-                for repetition in repetitions
-            )
-    return payloads
+    return [
+        (spec.to_json(), repetitions, extensions, collect_timings)
+        for spec, repetitions in _work_units(pending)
+    ]
 
 
 class RunSet:

@@ -24,6 +24,11 @@ problems show up automatically:
 * ``trace`` — inspect JSONL trace files written by ``run``/``sweep``
   ``--trace``: ``trace summarize`` renders a per-backend, per-stage
   (Commit/Adversary/Delivery/Accounting) timing table;
+* ``warehouse`` — maintain the sqlite index over a run store
+  (``sync``/``rebuild``), count, aggregate or take percentiles of its
+  records (``query``) and render the consolidated cross-experiment report
+  (``report``); ``analyze`` and ``report`` read a store through its index
+  when it has one;
 * ``table1`` — regenerate Table 1 (analytic bounds) for a given n;
 * ``bounds`` — evaluate every theorem bound at a given (n, k, s).
 
@@ -918,7 +923,11 @@ def _split_option(value: Optional[str]) -> Optional[List[str]]:
 
 
 def _load_runset(source: str) -> RunSet:
-    """A :class:`repro.api.RunSet` over a file, store directory or stdin."""
+    """A :class:`repro.api.RunSet` over a file, store directory or stdin.
+
+    A store directory with a warehouse index is read through the index
+    (see :func:`_warehouse_query`), anything else through ``load_runs``.
+    """
     from repro.results import iter_records
 
     if source == "-":
@@ -929,7 +938,10 @@ def _load_runset(source: str) -> RunSet:
                 "or pass a JSONL file / run-store directory"
             )
         return RunSet.from_records(records)
-    runset = load_runs(source)
+    query = _warehouse_query(source)
+    runset = (
+        RunSet.from_records(query.records()) if query is not None else load_runs(source)
+    )
     if not len(runset):
         raise ConfigurationError(f"{source} holds no records")
     return runset
@@ -941,11 +953,9 @@ def _warehouse_query(source: str) -> Optional[Any]:
     When ``source`` is a run-store directory carrying an index, sync it
     (skipping unchanged shards via watermarks, reported on stderr so
     stdout stays byte-identical to the index-less path) and answer from
-    sqlite.  Everything else — stdin, JSONL files, stores without an
-    index, corrupt indexes, failed syncs — falls back to shard scans.
+    sqlite.  Everything else — JSONL files, stores without an index,
+    corrupt indexes, failed syncs — falls back to shard scans.
     """
-    if source == "-":
-        return None
     from repro.results.store import is_store_path
 
     if not is_store_path(source):
@@ -969,36 +979,10 @@ def _warehouse_query(source: str) -> Optional[Any]:
 
 def command_analyze(args: argparse.Namespace) -> int:
     """Thin adapter: ``RunSet.aggregate(...).table()`` plus the verdicts."""
-    group_by = _split_option(args.group_by)
-    metrics = _split_option(args.metrics)
-    query = _warehouse_query(args.source)
-    if query is not None:
-        from repro.results.aggregate import (
-            DEFAULT_GROUP_BY,
-            DEFAULT_METRICS,
-            aggregate_columns,
-        )
-        from repro.results.report import rows_to_table
-
-        chosen_by = list(group_by) if group_by is not None else list(DEFAULT_GROUP_BY)
-        chosen_metrics = (
-            list(metrics) if metrics is not None else list(DEFAULT_METRICS)
-        )
-        rows = query.aggregate(chosen_by, chosen_metrics)
-        if not rows:
-            raise ConfigurationError(f"{args.source} holds no records")
-        print(rows_to_table(rows, aggregate_columns(chosen_by, chosen_metrics), args.format))
-        if args.bounds:
-            runset = RunSet.from_records(query.records())
-            print()
-            print(
-                runset.aggregate(by=group_by, metrics=metrics)
-                .compare(x_axis=args.x_axis)
-                .table(args.format)
-            )
-        return 0
     runset = _load_runset(args.source)
-    aggregated = runset.aggregate(by=group_by, metrics=metrics)
+    aggregated = runset.aggregate(
+        by=_split_option(args.group_by), metrics=_split_option(args.metrics)
+    )
     print(aggregated.table(args.format))
     if args.bounds:
         print()
@@ -1008,14 +992,7 @@ def command_analyze(args: argparse.Namespace) -> int:
 
 def command_report(args: argparse.Namespace) -> int:
     """Thin adapter: the full ``RunSet.report(...)`` document."""
-    query = _warehouse_query(args.source)
-    if query is not None:
-        records = query.records()
-        if not records:
-            raise ConfigurationError(f"{args.source} holds no records")
-        runset = RunSet.from_records(records)
-    else:
-        runset = _load_runset(args.source)
+    runset = _load_runset(args.source)
     document = runset.report(
         by=_split_option(args.group_by),
         metrics=_split_option(args.metrics),
@@ -1034,12 +1011,7 @@ def command_report(args: argparse.Namespace) -> int:
 def command_warehouse(args: argparse.Namespace) -> int:
     """Maintain and query the sqlite index (see :mod:`repro.warehouse`)."""
     from repro import warehouse
-    from repro.results.aggregate import (
-        DEFAULT_GROUP_BY,
-        DEFAULT_METRICS,
-        aggregate_columns,
-    )
-    from repro.results.report import rows_to_table
+    from repro.results.aggregate import DEFAULT_GROUP_BY, DEFAULT_METRICS
 
     if args.warehouse_command == "rebuild":
         index, stats = warehouse.rebuild_index(args.store)
@@ -1082,23 +1054,16 @@ def command_warehouse(args: argparse.Namespace) -> int:
                 ) from error
             print(query.percentile(metric, q, **filters))
             return 0
-        group_by = _split_option(args.group_by) or list(DEFAULT_GROUP_BY)
-        metrics = _split_option(args.metrics) or list(DEFAULT_METRICS)
-        if any(value is not None for value in filters.values()):
-            # Filtered aggregation goes through the records (the group
-            # cache covers the whole store, not arbitrary subsets).
-            records = query.records(**filters)
-            if not records:
-                raise ConfigurationError(f"{args.store} holds no matching records")
-            aggregated = RunSet.from_records(records).aggregate(
-                by=group_by, metrics=metrics
+        records = query.records(**filters)
+        if not records:
+            filtered = any(value is not None for value in filters.values())
+            raise ConfigurationError(
+                f"{args.store} holds no {'matching ' if filtered else ''}records"
             )
-            print(aggregated.table(args.format))
-            return 0
-        rows = query.aggregate(group_by, metrics)
-        if not rows:
-            raise ConfigurationError(f"{args.store} holds no records")
-        print(rows_to_table(rows, aggregate_columns(group_by, metrics), args.format))
+        aggregated = RunSet.from_records(records).aggregate(
+            by=_split_option(args.group_by), metrics=_split_option(args.metrics)
+        )
+        print(aggregated.table(args.format))
         return 0
     # warehouse report
     records = query.records()

@@ -152,58 +152,25 @@ def aggregate(
     rows: List[Dict[str, Any]] = []
     for key in sorted(groups, key=_group_sort_key):
         members = groups[key]
-        rows.append(
-            summary_row(
-                group_by,
-                key,
-                len(members),
-                all(record.completed for record in members),
-                metrics,
-                {
-                    metric: sorted(record.metric_value(metric) for record in members)
-                    for metric in metrics
-                },
-                confidence=confidence,
-                resamples=resamples,
+        row: Dict[str, Any] = dict(zip(group_by, key))
+        row["runs"] = len(members)
+        row["completed"] = all(record.completed for record in members)
+        key_json = json.dumps([str(part) for part in key], sort_keys=True)
+        for metric in metrics:
+            values = sorted(record.metric_value(metric) for record in members)
+            rng = random.Random(derive_seed(0, "bootstrap", key_json, metric))
+            ci_low, ci_high = bootstrap_ci(
+                values, confidence=confidence, resamples=resamples, rng=rng
             )
-        )
+            row[f"{metric}_mean"] = mean(values)
+            row[f"{metric}_median"] = median(values)
+            row[f"{metric}_std"] = pstdev(values) if len(values) > 1 else 0.0
+            row[f"{metric}_min"] = values[0]
+            row[f"{metric}_max"] = values[-1]
+            row[f"{metric}_ci_low"] = ci_low
+            row[f"{metric}_ci_high"] = ci_high
+        rows.append(row)
     return rows
-
-
-def summary_row(
-    group_by: Sequence[str],
-    key: Tuple[Any, ...],
-    runs: int,
-    completed: bool,
-    metrics: Sequence[str],
-    values: Mapping[str, Sequence[float]],
-    *,
-    confidence: float,
-    resamples: int,
-) -> Dict[str, Any]:
-    """One group's row of :func:`aggregate` from each metric's sorted values.
-
-    The warehouse's cached aggregation renders its rows here too, so both
-    paths make the same seeded bootstrap and statistics calls.
-    """
-    row: Dict[str, Any] = dict(zip(group_by, key))
-    row["runs"] = runs
-    row["completed"] = completed
-    key_json = json.dumps([str(part) for part in key], sort_keys=True)
-    for metric in metrics:
-        metric_values = values[metric]
-        rng = random.Random(derive_seed(0, "bootstrap", key_json, metric))
-        ci_low, ci_high = bootstrap_ci(
-            metric_values, confidence=confidence, resamples=resamples, rng=rng
-        )
-        row[f"{metric}_mean"] = mean(metric_values)
-        row[f"{metric}_median"] = median(metric_values)
-        row[f"{metric}_std"] = pstdev(metric_values) if len(metric_values) > 1 else 0.0
-        row[f"{metric}_min"] = metric_values[0]
-        row[f"{metric}_max"] = metric_values[-1]
-        row[f"{metric}_ci_low"] = ci_low
-        row[f"{metric}_ci_high"] = ci_high
-    return row
 
 
 def aggregate_columns(

@@ -37,7 +37,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -82,8 +81,6 @@ class StoreAppendEvent:
     shard_id: str
     scenario_key: str
     records: Tuple[RunRecord, ...]
-    #: Repetitions that were already present and are superseded (last-wins).
-    replaced: FrozenSet[int]
     before: Optional[Tuple[int, int]]
     after: Tuple[int, int]
 
@@ -312,7 +309,6 @@ class RunStore:
             known = {record.repetition for record in self._iter_shard(shard_id)}
             self._known[shard_id] = known
         fresh: List[RunRecord] = []
-        replaced: set = set()
         for record in sorted(records, key=lambda record: record.repetition):
             if record.repetition in known:
                 if not replace:
@@ -328,7 +324,6 @@ class RunStore:
                 if current.get(record.repetition) == record.to_json_line():
                     continue  # identical content: a replace is still idempotent
                 current[record.repetition] = record.to_json_line()
-                replaced.add(record.repetition)
                 fresh.append(record)
                 continue
             known.add(record.repetition)
@@ -350,7 +345,6 @@ class RunStore:
                         shard_id=shard_id,
                         scenario_key=scenario_key,
                         records=tuple(fresh),
-                        replaced=frozenset(replaced),
                         before=before,
                         after=(stat.st_mtime_ns, stat.st_size),
                     )

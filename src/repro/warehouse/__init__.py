@@ -3,9 +3,9 @@
 The JSONL shards of :class:`repro.results.store.RunStore` stay the single
 source of truth; this package derives a rebuildable sqlite index from
 them (:mod:`~repro.warehouse.index`), answers store-shaped queries from
-it (:mod:`~repro.warehouse.query`), maintains incrementally folded
-group-by aggregates whose output is byte-identical to the shard-scan
-path (:mod:`~repro.warehouse.incremental`), and renders consolidated
+it (:mod:`~repro.warehouse.query`), aggregates the indexed records with
+the shard-scan path's own :func:`~repro.results.aggregate.aggregate`
+(:mod:`~repro.warehouse.incremental`), and renders consolidated
 cross-experiment reports (:mod:`~repro.warehouse.consolidated`).
 Exposed on the command line as ``repro warehouse [sync|rebuild|query|report]``.
 """

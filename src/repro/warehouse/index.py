@@ -10,10 +10,11 @@ as a derived, disposable view:
 * a ``shards`` table of per-shard ``(mtime_ns, size_bytes)`` watermarks, so
   :meth:`WarehouseIndex.sync` re-reads only shards that actually changed
   (the store is append-only: any write grows the file);
-* a ``meta`` table carrying the index schema version and a **mutation
-  counter** that invalidates incremental aggregation caches whenever an
-  existing row is superseded (``add(replace=True)``) rather than appended
-  (see :mod:`repro.warehouse.incremental`).
+* a ``meta`` table carrying the index schema version.
+
+The index stores records and answers lookups (plan cache checks, counts,
+percentiles, filtered record streams); every aggregation is
+:func:`repro.results.aggregate.aggregate` over the records it returns.
 
 :func:`rebuild_index` deletes the database and re-derives everything from
 the shards — the recovery path for a corrupt or stale index, and the proof
@@ -69,7 +70,7 @@ INDEX_FILENAME = "warehouse.sqlite"
 
 #: Bumped whenever the table layout changes; mismatching indexes must be
 #: rebuilt (cheap — the JSONL shards hold everything).
-INDEX_SCHEMA_VERSION = 1
+INDEX_SCHEMA_VERSION = 2
 
 _LOCK_NAME = ".lock"
 _BUSY_TIMEOUT_MS = 5000
@@ -113,38 +114,6 @@ CREATE TABLE IF NOT EXISTS runs (
 );
 CREATE INDEX IF NOT EXISTS runs_by_shard ON runs (shard_id);
 CREATE INDEX IF NOT EXISTS runs_by_components ON runs (algorithm, adversary, problem);
-CREATE TABLE IF NOT EXISTS group_cache_meta (
-    group_by      TEXT PRIMARY KEY,
-    metrics       TEXT NOT NULL,
-    row_watermark INTEGER NOT NULL,
-    mutation      INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS group_cache_groups (
-    group_by      TEXT NOT NULL,
-    group_key     TEXT NOT NULL,
-    runs          INTEGER NOT NULL,
-    all_completed INTEGER NOT NULL,
-    PRIMARY KEY (group_by, group_key)
-);
-CREATE TABLE IF NOT EXISTS group_cache_stats (
-    group_by    TEXT NOT NULL,
-    group_key   TEXT NOT NULL,
-    metric      TEXT NOT NULL,
-    count       INTEGER NOT NULL,
-    total       REAL NOT NULL,
-    total_sq    REAL NOT NULL,
-    values_json TEXT NOT NULL,
-    PRIMARY KEY (group_by, group_key, metric)
-);
-CREATE TABLE IF NOT EXISTS group_cache_rows (
-    group_by   TEXT NOT NULL,
-    group_key  TEXT NOT NULL,
-    confidence REAL NOT NULL,
-    resamples  INTEGER NOT NULL,
-    metrics    TEXT NOT NULL,
-    row_json   TEXT NOT NULL,
-    PRIMARY KEY (group_by, group_key, confidence, resamples, metrics)
-);
 """
 
 _RUN_COLUMNS = (
@@ -253,7 +222,7 @@ class WarehouseIndex:
                 if row is None:
                     self._conn.execute(
                         "INSERT INTO meta (key, value) VALUES "
-                        "('index_schema_version', ?), ('mutation', '0')",
+                        "('index_schema_version', ?)",
                         (str(INDEX_SCHEMA_VERSION),),
                     )
                 elif row[0] != str(INDEX_SCHEMA_VERSION):
@@ -283,7 +252,7 @@ class WarehouseIndex:
 
     @property
     def connection(self) -> "sqlite3.Connection":
-        """The underlying connection (for the query/aggregation layers)."""
+        """The underlying connection (for the query layer)."""
         return self._conn
 
     @classmethod
@@ -317,24 +286,6 @@ class WarehouseIndex:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def mutation(self) -> int:
-        """The mutation counter (bumps whenever existing rows change)."""
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'mutation'"
-        ).fetchone()
-        return int(row[0]) if row is not None else 0
-
-    def _bump_mutation(self) -> None:
-        self._conn.execute(
-            "UPDATE meta SET value = CAST(CAST(value AS INTEGER) + 1 AS TEXT) "
-            "WHERE key = 'mutation'"
-        )
-
-    def max_rowid(self) -> int:
-        """The current append watermark of the ``runs`` table."""
-        row = self._conn.execute("SELECT MAX(rowid) FROM runs").fetchone()
-        return int(row[0]) if row and row[0] is not None else 0
-
     def count(self) -> int:
         """Total indexed run records."""
         return int(self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0])
@@ -354,13 +305,11 @@ class WarehouseIndex:
         ``(mtime_ns, size_bytes)`` matches the recorded watermark is not
         opened at all.  Changed shards are re-read with last-wins
         semantics, then diffed against the indexed rows: fresh repetitions
-        insert, superseded ones update (bumping the mutation counter so
-        cached aggregations rebuild), and rows whose shard file vanished
+        insert, superseded ones update, and rows whose shard file vanished
         are dropped.
         """
         started = time.perf_counter()
         stats = SyncStats()
-        mutated = False
         shard_dir = self._store_path / "shards"
         seen: List[str] = []
         try:
@@ -402,14 +351,12 @@ class WarehouseIndex:
                             stats.rows_added += 1
                         else:
                             stats.rows_updated += 1
-                            mutated = True
                     for repetition in set(existing) - set(latest):
                         self._conn.execute(
                             "DELETE FROM runs WHERE shard_id = ? AND repetition = ?",
                             (shard_id, repetition),
                         )
                         stats.rows_removed += 1
-                        mutated = True
                     self._conn.execute(
                         "INSERT OR REPLACE INTO shards "
                         "(shard_id, scenario_key, mtime_ns, size_bytes, line_count) "
@@ -429,9 +376,6 @@ class WarehouseIndex:
                         "DELETE FROM shards WHERE shard_id = ?", (shard_id,)
                     )
                     stats.rows_removed += max(removed, 0)
-                    mutated = True
-                if mutated:
-                    self._bump_mutation()
         except sqlite3.DatabaseError as error:
             raise ConfigurationError(
                 f"warehouse index {self._db_path} failed during sync ({error}); "
@@ -499,8 +443,6 @@ class WarehouseIndex:
                 )
                 for record in event.records:
                     self._conn.execute(_INSERT_RUN, _run_row(record, event.shard_id))
-                if event.replaced:
-                    self._bump_mutation()
                 if current:
                     line_count = (row[2] if row is not None else 0) + len(event.records)
                     self._conn.execute(

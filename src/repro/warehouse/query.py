@@ -10,8 +10,9 @@ full :class:`~repro.results.records.RunRecord`, bit-identical to what a
 shard scan would have produced, and in the same ``(scenario_key,
 repetition)`` order.
 
-Aggregation (:meth:`WarehouseQuery.aggregate`) delegates to the
-incrementally cached group-by layer in :mod:`repro.warehouse.incremental`.
+Aggregation (:meth:`WarehouseQuery.aggregate`) is
+:func:`repro.results.aggregate.aggregate` over these records, the same
+function the shard-scan path calls.
 """
 
 from __future__ import annotations
@@ -186,9 +187,11 @@ class WarehouseQuery:
         confidence: float = 0.95,
         resamples: int = DEFAULT_RESAMPLES,
     ) -> List[Dict[str, Any]]:
-        """Group-by summary rows, byte-identical to
-        :func:`repro.results.aggregate.aggregate` over the same records,
-        served from the incrementally maintained group cache."""
+        """Group-by summary rows: :func:`repro.results.aggregate.aggregate`
+        over the indexed records (through
+        :func:`repro.warehouse.incremental.cached_aggregate`)."""
+        # Looked up per call, so a wrapper set on the module attribute (as
+        # perfbench's layer tracer sets one) takes effect.
         from repro.warehouse.incremental import cached_aggregate
 
         return cached_aggregate(

@@ -305,6 +305,25 @@ class TestRunSet:
         assert retry.executed_count == 4
         assert len(RunStore(tmp_path / "store")) == 4
 
+    def test_serial_sweep_stores_each_cell_before_the_next_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.api
+
+        run_cell = repro.api._run_cell
+
+        def fail_on_repetition_one(spec, run_as, repetition, collect_timings):
+            if repetition == 1:
+                raise RuntimeError("repetition 1 failed")
+            return run_cell(spec, run_as, repetition, collect_timings)
+
+        experiment = churn_experiment().seeds(3).store(tmp_path / "store")
+        monkeypatch.setattr(repro.api, "_run_cell", fail_on_repetition_one)
+        with pytest.raises(RuntimeError, match="repetition 1 failed"):
+            experiment.run().records()
+        stored = RunStore(tmp_path / "store").records()
+        assert [record.repetition for record in stored] == [0]
+
     def test_parallel_non_vectorizable_cells_run_on_bitset(self):
         specs = churn_experiment(num_nodes=[6, 8]).seeds(3).specs()
         events = []

@@ -597,12 +597,19 @@ def start_sweep(store, *args, stdout=subprocess.DEVNULL):
 class TestSweepStoreProcesses:
     """``repro sweep --store`` runs in separate processes on one store."""
 
-    def test_killed_sweep_rerun_executes_only_unfinished_cells(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "cells",
+        [["--grid", "seed=1,2,3,4,5,6"], ["--repetitions", "6"]],
+        ids=["six-scenarios", "six-repetitions"],
+    )
+    def test_killed_sweep_rerun_executes_only_unfinished_cells(
+        self, tmp_path, capsys, cells
+    ):
         store = tmp_path / "store"
-        # Six one-cell scenarios of about a quarter second each, so the kill
-        # lands mid-run.
+        # Six cells of about a quarter second each, as six one-cell
+        # scenarios or six repetitions of one, so the kill lands mid-run.
         args = ["--algorithm", "single-source", "--adversary", "churn",
-                "-n", "160", "-k", "160", "--grid", "seed=1,2,3,4,5,6"]
+                "-n", "160", "-k", "160", *cells]
         process = start_sweep(store, *args, "--json", stdout=subprocess.PIPE)
         try:
             # A record reaches stdout only after the store has appended it.
