@@ -16,19 +16,24 @@ controlled-churn adversary used to sweep the number of topological changes
 ``TC(E)``.
 """
 
-from repro.adversaries.base import Adversary
-from repro.adversaries.oblivious import (
-    ScheduleAdversary,
-    StaticAdversary,
-    RandomChurnObliviousAdversary,
-    ControlledChurnAdversary,
-)
-from repro.adversaries.adaptive import (
-    AdaptiveRewiringAdversary,
-    RequestCuttingAdversary,
-    StarRecenterAdversary,
-)
-from repro.adversaries.lower_bound import LowerBoundAdversary
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.adversaries.base import Adversary
+    from repro.adversaries.oblivious import (
+        ScheduleAdversary,
+        StaticAdversary,
+        RandomChurnObliviousAdversary,
+        ControlledChurnAdversary,
+    )
+    from repro.adversaries.adaptive import (
+        AdaptiveRewiringAdversary,
+        RequestCuttingAdversary,
+        StarRecenterAdversary,
+    )
+    from repro.adversaries.lower_bound import LowerBoundAdversary
 
 __all__ = [
     "Adversary",
@@ -41,3 +46,22 @@ __all__ = [
     "StarRecenterAdversary",
     "LowerBoundAdversary",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.adversaries.base": ("Adversary",),
+        "repro.adversaries.oblivious": (
+            "ScheduleAdversary",
+            "StaticAdversary",
+            "RandomChurnObliviousAdversary",
+            "ControlledChurnAdversary",
+        ),
+        "repro.adversaries.adaptive": (
+            "AdaptiveRewiringAdversary",
+            "RequestCuttingAdversary",
+            "StarRecenterAdversary",
+        ),
+        "repro.adversaries.lower_bound": ("LowerBoundAdversary",),
+    },
+)

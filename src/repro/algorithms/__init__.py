@@ -26,18 +26,23 @@ Baselines:
   baseline from Section 1 (spanning tree construction + pipelining).
 """
 
-from repro.algorithms.base import (
-    TokenForwardingAlgorithm,
-    LocalBroadcastAlgorithm,
-    UnicastAlgorithm,
-)
-from repro.algorithms.flooding import FloodingAlgorithm, OneShotFloodingAlgorithm
-from repro.algorithms.naive_unicast import NaiveUnicastAlgorithm
-from repro.algorithms.spanning_tree import SpanningTreeAlgorithm
-from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
-from repro.algorithms.multi_source import MultiSourceUnicastAlgorithm
-from repro.algorithms.oblivious_multi_source import ObliviousMultiSourceAlgorithm
-from repro.algorithms.random_walks import RandomWalkDisseminator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.algorithms.base import (
+        TokenForwardingAlgorithm,
+        LocalBroadcastAlgorithm,
+        UnicastAlgorithm,
+    )
+    from repro.algorithms.flooding import FloodingAlgorithm, OneShotFloodingAlgorithm
+    from repro.algorithms.naive_unicast import NaiveUnicastAlgorithm
+    from repro.algorithms.spanning_tree import SpanningTreeAlgorithm
+    from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
+    from repro.algorithms.multi_source import MultiSourceUnicastAlgorithm
+    from repro.algorithms.oblivious_multi_source import ObliviousMultiSourceAlgorithm
+    from repro.algorithms.random_walks import RandomWalkDisseminator
 
 __all__ = [
     "TokenForwardingAlgorithm",
@@ -52,3 +57,21 @@ __all__ = [
     "ObliviousMultiSourceAlgorithm",
     "RandomWalkDisseminator",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.algorithms.base": (
+            "TokenForwardingAlgorithm",
+            "LocalBroadcastAlgorithm",
+            "UnicastAlgorithm",
+        ),
+        "repro.algorithms.flooding": ("FloodingAlgorithm", "OneShotFloodingAlgorithm"),
+        "repro.algorithms.naive_unicast": ("NaiveUnicastAlgorithm",),
+        "repro.algorithms.spanning_tree": ("SpanningTreeAlgorithm",),
+        "repro.algorithms.single_source": ("SingleSourceUnicastAlgorithm",),
+        "repro.algorithms.multi_source": ("MultiSourceUnicastAlgorithm",),
+        "repro.algorithms.oblivious_multi_source": ("ObliviousMultiSourceAlgorithm",),
+        "repro.algorithms.random_walks": ("RandomWalkDisseminator",),
+    },
+)

@@ -13,27 +13,32 @@ into the quantities the paper reports:
   benchmark harnesses and EXPERIMENTS.md.
 """
 
-from repro.analysis.bounds import (
-    log2n,
-    flooding_amortized_upper_bound,
-    local_broadcast_lower_bound,
-    static_spanning_tree_amortized,
-    single_source_competitive_bound,
-    multi_source_competitive_bound,
-    oblivious_total_message_bound,
-    oblivious_amortized_bound,
-    table1_amortized_bound,
-    table1_rows,
-    naive_unicast_amortized_upper_bound,
-    single_source_round_bound,
-)
-from repro.analysis.potential import PotentialTracker, potential_of_knowledge
-from repro.analysis.experiments import fit_power_law, scaling_exponent
-from repro.analysis.reporting import (
-    format_table,
-    render_table1,
-    render_paper_vs_measured,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.analysis.bounds import (
+        log2n,
+        flooding_amortized_upper_bound,
+        local_broadcast_lower_bound,
+        static_spanning_tree_amortized,
+        single_source_competitive_bound,
+        multi_source_competitive_bound,
+        oblivious_total_message_bound,
+        oblivious_amortized_bound,
+        table1_amortized_bound,
+        table1_rows,
+        naive_unicast_amortized_upper_bound,
+        single_source_round_bound,
+    )
+    from repro.analysis.potential import PotentialTracker, potential_of_knowledge
+    from repro.analysis.experiments import fit_power_law, scaling_exponent
+    from repro.analysis.reporting import (
+        format_table,
+        render_table1,
+        render_paper_vs_measured,
+    )
 
 __all__ = [
     "log2n",
@@ -56,3 +61,30 @@ __all__ = [
     "render_table1",
     "render_paper_vs_measured",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.analysis.bounds": (
+            "log2n",
+            "flooding_amortized_upper_bound",
+            "local_broadcast_lower_bound",
+            "static_spanning_tree_amortized",
+            "single_source_competitive_bound",
+            "multi_source_competitive_bound",
+            "oblivious_total_message_bound",
+            "oblivious_amortized_bound",
+            "table1_amortized_bound",
+            "table1_rows",
+            "naive_unicast_amortized_upper_bound",
+            "single_source_round_bound",
+        ),
+        "repro.analysis.potential": ("PotentialTracker", "potential_of_knowledge"),
+        "repro.analysis.experiments": ("fit_power_law", "scaling_exponent"),
+        "repro.analysis.reporting": (
+            "format_table",
+            "render_table1",
+            "render_paper_vs_measured",
+        ),
+    },
+)

@@ -58,6 +58,7 @@ import importlib
 import time
 from dataclasses import dataclass, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -71,28 +72,15 @@ from typing import (
     Union,
 )
 
-from repro.obs.events import (
-    CellCached,
-    CellCompleted,
-    CellStarted,
-    ProgressEvent,
-    RunFinished,
-)
+from repro.backends import BACKEND_REGISTRY, DEFAULT_BACKEND
 from repro.obs.logs import get_logger
-
 from repro.results.aggregate import (
     DEFAULT_GROUP_BY,
     DEFAULT_METRICS,
     aggregate as _aggregate,
     aggregate_columns,
 )
-from repro.results.compare import compare_to_bounds
 from repro.results.records import SCHEMA_VERSION, RunRecord, coerce_record
-from repro.results.report import (
-    COMPARISON_COLUMNS,
-    render_report,
-    rows_to_table,
-)
 from repro.results.store import RunStore, open_source
 from repro.scenarios.registry import (
     ADVERSARY_REGISTRY,
@@ -106,6 +94,9 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.spec import _TOP_LEVEL_SWEEP_FIELDS, ScenarioSpec, sweep
 from repro.utils.validation import ConfigurationError, ReproError
+
+if TYPE_CHECKING:
+    from repro.obs.events import ProgressEvent
 
 __all__ = [
     "Aggregate",
@@ -134,7 +125,7 @@ Record = Dict[str, Any]
 CellMeta = Dict[str, Any]
 
 #: A progress-event observer callback.
-Observer = Callable[[ProgressEvent], None]
+Observer = Callable[["ProgressEvent"], None]
 
 logger = get_logger(__name__)
 
@@ -416,10 +407,6 @@ class Experiment:
         PROBLEM_REGISTRY.get(spec.problem)
         ALGORITHM_REGISTRY.get(spec.algorithm)
         ADVERSARY_REGISTRY.get(spec.adversary)
-        # Imported lazily: repro.backends imports the scenario layer, so a
-        # module-level import here would be order-sensitive.
-        from repro.backends import BACKEND_REGISTRY
-
         BACKEND_REGISTRY.get(spec.backend)
 
     @staticmethod
@@ -619,11 +606,8 @@ def vectorizable_group(spec: ScenarioSpec, count: int) -> bool:
     """
     if count < 2 or spec.backend not in ("reference", "batch"):
         return False
-    # Imported lazily: repro.backends imports the scenario layer.  The
-    # package import must come first — in a fresh worker process, importing
-    # repro.batch.backend directly would re-enter the half-initialized
-    # backends package through the registration cycle between the two.
-    import repro.backends  # noqa: F401
+    # Imported here: the engines load when a sweep first runs a group, not
+    # when a plan is made.
     from repro.batch.backend import can_vectorize_spec
     from repro.core.state import numpy_available
 
@@ -689,10 +673,6 @@ def execute_group(
                 )
             )
         return outcomes
-    # Imported lazily, as run_scenario does: repro.backends imports the
-    # scenario layer.
-    from repro.backends import DEFAULT_BACKEND
-
     run_as = (
         replace(spec, backend="bitset") if spec.backend == DEFAULT_BACKEND else spec
     )
@@ -802,13 +782,12 @@ class RunSet:
         self._active: Optional[Iterator[Record]] = None
         self._executed = 0
         self._stored = 0
+        #: The validated records of a records-built set, handed to
+        #: aggregation and reports so that nothing parses them again.
+        self._run_records: Optional[List[RunRecord]] = None
         if records is not None:
-            self._records = [
-                record.to_dict()
-                if isinstance(record, RunRecord)  # already validated
-                else coerce_record(record).to_dict()
-                for record in records
-            ]
+            self._run_records = [coerce_record(record) for record in records]
+            self._records = [record.to_dict() for record in self._run_records]
 
     @classmethod
     def from_records(
@@ -834,6 +813,8 @@ class RunSet:
         return iterator
 
     def _execute(self) -> Iterator[Record]:
+        from repro.obs.events import RunFinished
+
         started = time.perf_counter()
         # Replay the progress an abandoned earlier pass already made;
         # those cells executed (and persisted) once and are not re-run —
@@ -911,6 +892,8 @@ class RunSet:
         fresh: Iterator[Tuple[Record, CellMeta]],
         start: int = 0,
     ) -> Iterator[Record]:
+        from repro.obs.events import CellCached, CellCompleted, CellStarted
+
         plan = self._plan
         assert plan is not None
         observers = plan.observers
@@ -1014,7 +997,7 @@ class RunSet:
     ) -> "Aggregate":
         """Group-by statistical summary of the records."""
         return Aggregate(
-            self.records(),
+            self._run_records if self._run_records is not None else self.records(),
             group_by=tuple(by) if by is not None else DEFAULT_GROUP_BY,
             metrics=tuple(metrics) if metrics is not None else DEFAULT_METRICS,
         )
@@ -1043,7 +1026,7 @@ class Aggregate:
 
     def __init__(
         self,
-        records: Sequence[Record],
+        records: Sequence[Union[Record, RunRecord]],
         *,
         group_by: Sequence[str] = DEFAULT_GROUP_BY,
         metrics: Sequence[str] = DEFAULT_METRICS,
@@ -1083,6 +1066,8 @@ class Aggregate:
         statistics: Sequence[str] = ("mean", "ci_low", "ci_high"),
     ) -> str:
         """Render the rows as a text / markdown / CSV / JSON table."""
+        from repro.results.report import rows_to_table
+
         return rows_to_table(
             self.rows,
             aggregate_columns(self._group_by, self._metrics, statistics=statistics),
@@ -1111,7 +1096,7 @@ class Comparison:
 
     def __init__(
         self,
-        records: Sequence[Record],
+        records: Sequence[Union[Record, RunRecord]],
         *,
         group_by: Sequence[str] = DEFAULT_GROUP_BY,
         metrics: Sequence[str] = DEFAULT_METRICS,
@@ -1131,6 +1116,8 @@ class Comparison:
         if not self._with_bounds:
             return []
         if self._rows is None:
+            from repro.results.compare import compare_to_bounds
+
             self._rows = compare_to_bounds(self._records, x_axis=self._x_axis)
         return list(self._rows)
 
@@ -1153,6 +1140,8 @@ class Comparison:
                 "no algorithm in these records has a registered bound; "
                 "see repro.results.compare.register_bound"
             )
+        from repro.results.report import COMPARISON_COLUMNS, rows_to_table
+
         return rows_to_table(rows, COMPARISON_COLUMNS, fmt)
 
     def report(self, fmt: str = "md", *, title: str = "Results report") -> str:
@@ -1166,6 +1155,8 @@ class Comparison:
                 f"the full report is a markdown document (got fmt={fmt!r}); "
                 f"use .table(fmt=...) for csv/json/text tables"
             )
+        from repro.results.report import render_report
+
         return render_report(
             self._records,
             group_by=self._group_by,

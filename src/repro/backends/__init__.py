@@ -4,7 +4,8 @@ A backend is one way of executing a materialized scenario; all backends must
 produce results structurally identical to the reference engine.  Both
 built-in backends assemble the same staged round kernel
 (:mod:`repro.core.rounds`) and differ only in the knowledge representation
-and program family they plug in.  Importing this package registers:
+and program family they plug in.  This package registers three, by import
+path, so each engine module is imported only when a run first needs it:
 
 * ``reference`` — the kernel over the dict-of-sets
   :class:`~repro.core.state.MappingKnowledgeState`, driving each
@@ -22,14 +23,13 @@ and program family they plug in.  Importing this package registers:
 Select a backend per scenario (``ScenarioSpec(backend="bitset", ...)``,
 ``python -m repro run --backend bitset``) and check equivalence with the
 differential harness (:mod:`repro.backends.differential`, ``python -m repro
-verify-backend``).
-
-The differential harness imports the scenario layer, which in turn imports
-this package, so it is *not* re-exported here — import it as
-``from repro.backends import differential`` (or via the CLI) after the
-scenario layer is loaded.
+verify-backend``), which is not re-exported here: import it as
+``from repro.backends import differential``.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
 from repro.backends.base import (
     BACKEND_REGISTRY,
     DEFAULT_BACKEND,
@@ -37,9 +37,35 @@ from repro.backends.base import (
     get_backend,
     register_backend,
 )
-from repro.backends.bitset import BitsetBackend
-from repro.backends.reference import ReferenceBackend
-from repro.batch.backend import BatchBackend
+
+if TYPE_CHECKING:
+    from repro.backends.bitset import BitsetBackend
+    from repro.backends.reference import ReferenceBackend
+    from repro.batch.backend import BatchBackend
+
+BACKEND_REGISTRY._register_path(
+    "reference",
+    "repro.backends.reference:ReferenceBackend",
+    description="The pure-Python Simulator: supports everything, defines the semantics.",
+)
+BACKEND_REGISTRY._register_path(
+    "bitset",
+    "repro.backends.bitset:BitsetBackend",
+    description=(
+        "Integer-bitmask round kernel: native fast programs where algorithms "
+        "provide them, the generic exchange path everywhere else; supports "
+        "oblivious and adaptive adversaries."
+    ),
+)
+BACKEND_REGISTRY._register_path(
+    "batch",
+    "repro.batch.backend:BatchBackend",
+    description=(
+        "vectorized numpy kernel running all repetitions of a scenario in "
+        "lockstep; falls back to the bitset kernel per repetition for "
+        "adaptive or non-vectorizable scenarios (needs the repro[fast] extra)"
+    ),
+)
 
 __all__ = [
     "BACKEND_REGISTRY",
@@ -51,3 +77,12 @@ __all__ = [
     "BitsetBackend",
     "ReferenceBackend",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.backends.bitset": ("BitsetBackend",),
+        "repro.backends.reference": ("ReferenceBackend",),
+        "repro.batch.backend": ("BatchBackend",),
+    },
+)

@@ -26,12 +26,14 @@ backend is one decorator::
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.result import ExecutionResult
 from repro.scenarios.registry import Registry
 from repro.utils.rng import SeedLike
 from repro.utils.validation import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.core.result import ExecutionResult
 
 #: The backend used when a spec does not name one.
 DEFAULT_BACKEND = "reference"

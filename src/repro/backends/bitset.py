@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.backends.base import EngineBackend, register_backend
+from repro.backends.base import EngineBackend
 from repro.core.result import ExecutionResult
 from repro.core.rounds import RoundKernel
 from repro.core.state import BitsetKnowledgeState
@@ -67,14 +67,6 @@ def fast_path_names() -> List[str]:
     return names
 
 
-@register_backend(
-    "bitset",
-    description=(
-        "Integer-bitmask round kernel: native fast programs where algorithms "
-        "provide them, the generic exchange path everywhere else; supports "
-        "oblivious and adaptive adversaries."
-    ),
-)
 class BitsetBackend(EngineBackend):
     """Bit-parallel execution through the shared staged round kernel."""
 

@@ -9,16 +9,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backends.base import EngineBackend, register_backend
+from repro.backends.base import EngineBackend
 from repro.core.engine import Simulator
 from repro.core.result import ExecutionResult
 from repro.utils.rng import SeedLike
 
 
-@register_backend(
-    "reference",
-    description="The pure-Python Simulator: supports everything, defines the semantics.",
-)
 class ReferenceBackend(EngineBackend):
     """Runs scenarios through the :class:`~repro.core.engine.Simulator`."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.backends.base import EngineBackend, register_backend
+from repro.backends.base import EngineBackend
 from repro.batch.engine import BatchKernel
 from repro.core.result import ExecutionResult
 from repro.core.rounds import RoundKernel
@@ -85,14 +85,6 @@ def can_vectorize_spec(spec) -> bool:
     return can_vectorize(algorithm, adversary)
 
 
-@register_backend(
-    "batch",
-    description=(
-        "vectorized numpy kernel running all repetitions of a scenario in "
-        "lockstep; falls back to the bitset kernel per repetition for "
-        "adaptive or non-vectorizable scenarios (needs the repro[fast] extra)"
-    ),
-)
 class BatchBackend(EngineBackend):
     """Vectorized multi-repetition execution on ``BatchKnowledgeState``."""
 

@@ -16,44 +16,49 @@ provides:
 * connectivity helpers and structural statistics.
 """
 
-from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
-from repro.dynamics.connectivity import (
-    connected_components,
-    is_connected,
-    ensure_connected,
-    spanning_forest,
-)
-from repro.dynamics.generators import (
-    static_schedule,
-    static_complete_schedule,
-    static_path_schedule,
-    static_star_schedule,
-    static_cycle_schedule,
-    random_connected_edges,
-    churn_schedule,
-    edge_markovian_schedule,
-    rewiring_regular_schedule,
-    star_oscillator_schedule,
-    path_shuffle_schedule,
-    geometric_mobility_schedule,
-)
-from repro.dynamics.stability import (
-    is_sigma_edge_stable,
-    minimum_edge_stability,
-    stabilize_schedule,
-)
-from repro.dynamics.properties import (
-    degree_statistics,
-    churn_statistics,
-    schedule_summary,
-)
-from repro.dynamics.serialization import (
-    schedule_to_json,
-    schedule_from_json,
-    trace_to_schedule_json,
-    save_schedule,
-    load_schedule,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.dynamics.graph_sequence import DynamicGraphTrace, GraphSchedule
+    from repro.dynamics.connectivity import (
+        connected_components,
+        is_connected,
+        ensure_connected,
+        spanning_forest,
+    )
+    from repro.dynamics.generators import (
+        static_schedule,
+        static_complete_schedule,
+        static_path_schedule,
+        static_star_schedule,
+        static_cycle_schedule,
+        random_connected_edges,
+        churn_schedule,
+        edge_markovian_schedule,
+        rewiring_regular_schedule,
+        star_oscillator_schedule,
+        path_shuffle_schedule,
+        geometric_mobility_schedule,
+    )
+    from repro.dynamics.stability import (
+        is_sigma_edge_stable,
+        minimum_edge_stability,
+        stabilize_schedule,
+    )
+    from repro.dynamics.properties import (
+        degree_statistics,
+        churn_statistics,
+        schedule_summary,
+    )
+    from repro.dynamics.serialization import (
+        schedule_to_json,
+        schedule_from_json,
+        trace_to_schedule_json,
+        save_schedule,
+        load_schedule,
+    )
 
 __all__ = [
     "DynamicGraphTrace",
@@ -86,3 +91,47 @@ __all__ = [
     "save_schedule",
     "load_schedule",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.dynamics.graph_sequence": ("DynamicGraphTrace", "GraphSchedule"),
+        "repro.dynamics.connectivity": (
+            "connected_components",
+            "is_connected",
+            "ensure_connected",
+            "spanning_forest",
+        ),
+        "repro.dynamics.generators": (
+            "static_schedule",
+            "static_complete_schedule",
+            "static_path_schedule",
+            "static_star_schedule",
+            "static_cycle_schedule",
+            "random_connected_edges",
+            "churn_schedule",
+            "edge_markovian_schedule",
+            "rewiring_regular_schedule",
+            "star_oscillator_schedule",
+            "path_shuffle_schedule",
+            "geometric_mobility_schedule",
+        ),
+        "repro.dynamics.stability": (
+            "is_sigma_edge_stable",
+            "minimum_edge_stability",
+            "stabilize_schedule",
+        ),
+        "repro.dynamics.properties": (
+            "degree_statistics",
+            "churn_statistics",
+            "schedule_summary",
+        ),
+        "repro.dynamics.serialization": (
+            "schedule_to_json",
+            "schedule_from_json",
+            "trace_to_schedule_json",
+            "save_schedule",
+            "load_schedule",
+        ),
+    },
+)

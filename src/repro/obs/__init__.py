@@ -16,41 +16,51 @@ Three pillars, all stdlib-only:
 ``"repro"`` stdlib logger.
 """
 
-from .events import (
-    CellCached,
-    CellCompleted,
-    CellStarted,
-    ProgressEvent,
-    ProgressPrinter,
-    RunFinished,
-    event_from_dict,
-    event_to_dict,
-)
-from .logs import configure_logging, get_logger
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    InMemorySink,
-    JsonlSink,
-    MetricsRegistry,
-    MetricsSink,
-    StderrSink,
-    track_peak_memory,
-)
-from .trace import TraceWriter, read_trace, render_trace_summary, summarize_trace
-from .tracing import (
-    KERNEL_STAGES,
-    NULL_TRACER,
-    NullTracer,
-    STAGE_ACCOUNTING,
-    STAGE_ADVERSARY,
-    STAGE_COMMIT,
-    STAGE_DELIVERY,
-    TimingTracer,
-    Tracer,
-    timing_delta,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.obs.events import (
+        CellCached,
+        CellCompleted,
+        CellStarted,
+        ProgressEvent,
+        ProgressPrinter,
+        RunFinished,
+        event_from_dict,
+        event_to_dict,
+    )
+    from repro.obs.logs import configure_logging, get_logger
+    from repro.obs.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        InMemorySink,
+        JsonlSink,
+        MetricsRegistry,
+        MetricsSink,
+        StderrSink,
+        track_peak_memory,
+    )
+    from repro.obs.trace import (
+        TraceWriter,
+        read_trace,
+        render_trace_summary,
+        summarize_trace,
+    )
+    from repro.obs.tracing import (
+        KERNEL_STAGES,
+        NULL_TRACER,
+        NullTracer,
+        STAGE_ACCOUNTING,
+        STAGE_ADVERSARY,
+        STAGE_COMMIT,
+        STAGE_DELIVERY,
+        TimingTracer,
+        Tracer,
+        timing_delta,
+    )
 
 __all__ = [
     "CellCached",
@@ -87,3 +97,49 @@ __all__ = [
     "timing_delta",
     "track_peak_memory",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.obs.events": (
+            "CellCached",
+            "CellCompleted",
+            "CellStarted",
+            "ProgressEvent",
+            "ProgressPrinter",
+            "RunFinished",
+            "event_from_dict",
+            "event_to_dict",
+        ),
+        "repro.obs.logs": ("configure_logging", "get_logger"),
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "InMemorySink",
+            "JsonlSink",
+            "MetricsRegistry",
+            "MetricsSink",
+            "StderrSink",
+            "track_peak_memory",
+        ),
+        "repro.obs.trace": (
+            "TraceWriter",
+            "read_trace",
+            "render_trace_summary",
+            "summarize_trace",
+        ),
+        "repro.obs.tracing": (
+            "KERNEL_STAGES",
+            "NULL_TRACER",
+            "NullTracer",
+            "STAGE_ACCOUNTING",
+            "STAGE_ADVERSARY",
+            "STAGE_COMMIT",
+            "STAGE_DELIVERY",
+            "TimingTracer",
+            "Tracer",
+            "timing_delta",
+        ),
+    },
+)

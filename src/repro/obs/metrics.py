@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import sys
-import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, TextIO
 
@@ -225,6 +224,10 @@ def track_peak_memory(
     peak counter is reset for this block and tracing is left running on
     exit; otherwise this starts and stops tracing around the block.
     """
+    # Imported here: only this opt-in gauge needs it, and every plan loads
+    # this module (through the warehouse index).
+    import tracemalloc
+
     gauge = registry.gauge(gauge_name)
     already_tracing = tracemalloc.is_tracing()
     if already_tracing:

@@ -32,15 +32,13 @@ The same pipeline from the shell::
     python -m repro report results-store/ --output report.md
 """
 
-from repro.results.records import (
-    SCHEMA_VERSION,
-    RecordValidationError,
-    RunRecord,
-    dump_records,
-    iter_records,
-    load_records,
-)
-from repro.results.store import RunStore, open_source
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+# Imported eagerly: the function ``aggregate`` shares its name with its
+# submodule, and importing ``repro.results.aggregate`` first would bind the
+# module to the package attribute that a lazy name resolves through.
 from repro.results.aggregate import (
     DEFAULT_GROUP_BY,
     DEFAULT_METRICS,
@@ -49,25 +47,36 @@ from repro.results.aggregate import (
     bootstrap_ci,
     group_records,
 )
-from repro.results.compare import (
-    BoundSpec,
-    bound_for_algorithm,
-    bound_ratio_rows,
-    compare_to_bounds,
-    fit_scaling_exponent,
-    measured_series,
-    register_bound,
-    registered_bounds,
-)
-from repro.results.report import (
-    render_aggregates,
-    render_comparison,
-    render_markdown_table,
-    render_report,
-    render_table,
-    render_table1_vs_measured,
-    rows_to_table,
-)
+
+if TYPE_CHECKING:
+    from repro.results.records import (
+        SCHEMA_VERSION,
+        RecordValidationError,
+        RunRecord,
+        dump_records,
+        iter_records,
+        load_records,
+    )
+    from repro.results.store import RunStore, open_source
+    from repro.results.compare import (
+        BoundSpec,
+        bound_for_algorithm,
+        bound_ratio_rows,
+        compare_to_bounds,
+        fit_scaling_exponent,
+        measured_series,
+        register_bound,
+        registered_bounds,
+    )
+    from repro.results.report import (
+        render_aggregates,
+        render_comparison,
+        render_markdown_table,
+        render_report,
+        render_table,
+        render_table1_vs_measured,
+        rows_to_table,
+    )
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -100,3 +109,37 @@ __all__ = [
     "render_table1_vs_measured",
     "rows_to_table",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.results.records": (
+            "SCHEMA_VERSION",
+            "RecordValidationError",
+            "RunRecord",
+            "dump_records",
+            "iter_records",
+            "load_records",
+        ),
+        "repro.results.store": ("RunStore", "open_source"),
+        "repro.results.compare": (
+            "BoundSpec",
+            "bound_for_algorithm",
+            "bound_ratio_rows",
+            "compare_to_bounds",
+            "fit_scaling_exponent",
+            "measured_series",
+            "register_bound",
+            "registered_bounds",
+        ),
+        "repro.results.report": (
+            "render_aggregates",
+            "render_comparison",
+            "render_markdown_table",
+            "render_report",
+            "render_table",
+            "render_table1_vs_measured",
+            "rows_to_table",
+        ),
+    },
+)

@@ -21,12 +21,14 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from repro.scenarios.runner import RECORD_SCHEMA_VERSION
 from repro.scenarios.spec import ScenarioSpec
 from repro.utils.validation import ReproError
 
-#: The JSONL schema version this module reads and writes.
-SCHEMA_VERSION = RECORD_SCHEMA_VERSION
+#: The JSONL schema version this module reads and writes, stamped into every
+#: record the runner emits; bump it on incompatible layout changes so stale
+#: readers reject records they cannot read.  v2: the embedded spec gained
+#: the ``backend`` field.
+SCHEMA_VERSION = 2
 
 
 class RecordValidationError(ReproError, ValueError):

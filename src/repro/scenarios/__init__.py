@@ -29,28 +29,33 @@ multiprocessing fan-out.  Quickstart::
         sink.writelines(record_to_json_line(record) + "\\n" for record in records)
 """
 
-from repro.scenarios.registry import (
-    ADVERSARY_REGISTRY,
-    ALGORITHM_REGISTRY,
-    PROBLEM_REGISTRY,
-    ParameterInfo,
-    Registry,
-    RegistryEntry,
-    register_adversary,
-    register_algorithm,
-    register_problem,
-)
-from repro.scenarios import builtins as _builtins  # noqa: F401  (populates registries)
-from repro.scenarios.spec import ScenarioSpec, load_specs, sweep
-from repro.scenarios.runner import (
-    MaterializedScenario,
-    materialize,
-    record_from_result,
-    record_to_json_line,
-    repetition_seed,
-    run_scenario,
-    run_spec,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+from repro.scenarios import builtins as _builtins  # noqa: F401  (registers the built-ins)
+
+if TYPE_CHECKING:
+    from repro.scenarios.registry import (
+        ADVERSARY_REGISTRY,
+        ALGORITHM_REGISTRY,
+        PROBLEM_REGISTRY,
+        ParameterInfo,
+        Registry,
+        RegistryEntry,
+        register_adversary,
+        register_algorithm,
+        register_problem,
+    )
+    from repro.scenarios.runner import (
+        MaterializedScenario,
+        materialize,
+        record_from_result,
+        record_to_json_line,
+        repetition_seed,
+        run_scenario,
+        run_spec,
+    )
+    from repro.scenarios.spec import ScenarioSpec, load_specs, sweep
 
 __all__ = [
     "ADVERSARY_REGISTRY",
@@ -73,3 +78,30 @@ __all__ = [
     "run_scenario",
     "run_spec",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.scenarios.registry": (
+            "ADVERSARY_REGISTRY",
+            "ALGORITHM_REGISTRY",
+            "PROBLEM_REGISTRY",
+            "ParameterInfo",
+            "Registry",
+            "RegistryEntry",
+            "register_adversary",
+            "register_algorithm",
+            "register_problem",
+        ),
+        "repro.scenarios.runner": (
+            "MaterializedScenario",
+            "materialize",
+            "record_from_result",
+            "record_to_json_line",
+            "repetition_seed",
+            "run_scenario",
+            "run_spec",
+        ),
+        "repro.scenarios.spec": ("ScenarioSpec", "load_specs", "sweep"),
+    },
+)

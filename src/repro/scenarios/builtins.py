@@ -1,9 +1,12 @@
 """Registration of every built-in algorithm, adversary and problem.
 
 Importing this module (done automatically by :mod:`repro.scenarios`)
-populates the three registries with the components shipped by the library.
-The registrations are centralized here — rather than decorating each class
-in its home module — so the core packages stay import-order independent;
+registers the components shipped by the library by import path: it
+imports none of them, and each entry imports its component the first time
+it is built or introspected.  The schedule adversaries below are factories
+defined here, which import their generator when called.  The
+registrations are centralized here — rather than decorating each class in
+its home module — so the core packages stay import-order independent;
 third-party extensions should use the decorators from
 :mod:`repro.scenarios.registry` directly.
 
@@ -15,83 +18,79 @@ forced two-phase run with ``center_probability=0.2``).
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.adversaries.adaptive import (
-    AdaptiveRewiringAdversary,
-    RequestCuttingAdversary,
-    StarRecenterAdversary,
-)
-from repro.adversaries.lower_bound import LowerBoundAdversary
-from repro.adversaries.oblivious import (
-    ControlledChurnAdversary,
-    RandomChurnObliviousAdversary,
-    ScheduleAdversary,
-)
-from repro.algorithms.flooding import FloodingAlgorithm, OneShotFloodingAlgorithm
-from repro.algorithms.multi_source import MultiSourceUnicastAlgorithm
-from repro.algorithms.naive_unicast import NaiveUnicastAlgorithm
-from repro.algorithms.oblivious_multi_source import ObliviousMultiSourceAlgorithm
-from repro.algorithms.single_source import SingleSourceUnicastAlgorithm
-from repro.algorithms.spanning_tree import SpanningTreeAlgorithm
-from repro.core.problem import (
-    n_gossip_problem,
-    random_assignment_problem,
-    single_source_problem,
-    uniform_multi_source_problem,
-)
-from repro.dynamics.generators import (
-    churn_schedule,
-    edge_markovian_schedule,
-    geometric_mobility_schedule,
-    path_shuffle_schedule,
-    rewiring_regular_schedule,
-    star_oscillator_schedule,
-    static_random_schedule,
-)
-from repro.dynamics.graph_sequence import GraphSchedule
 from repro.scenarios.registry import (
+    ADVERSARY_REGISTRY,
+    ALGORITHM_REGISTRY,
+    PROBLEM_REGISTRY,
     register_adversary,
-    register_algorithm,
-    register_problem,
 )
+
+if TYPE_CHECKING:
+    from repro.adversaries.oblivious import ScheduleAdversary
+    from repro.dynamics.graph_sequence import GraphSchedule
 
 # -- algorithms ------------------------------------------------------------
 
-register_algorithm("flooding")(FloodingAlgorithm)
-register_algorithm("one-shot-flooding")(OneShotFloodingAlgorithm)
-register_algorithm("naive-unicast")(NaiveUnicastAlgorithm)
-register_algorithm("spanning-tree")(SpanningTreeAlgorithm)
-register_algorithm("single-source")(SingleSourceUnicastAlgorithm)
-register_algorithm("multi-source")(MultiSourceUnicastAlgorithm)
-register_algorithm(
+ALGORITHM_REGISTRY._register_path(
+    "flooding", "repro.algorithms.flooding:FloodingAlgorithm"
+)
+ALGORITHM_REGISTRY._register_path(
+    "one-shot-flooding", "repro.algorithms.flooding:OneShotFloodingAlgorithm"
+)
+ALGORITHM_REGISTRY._register_path(
+    "naive-unicast", "repro.algorithms.naive_unicast:NaiveUnicastAlgorithm"
+)
+ALGORITHM_REGISTRY._register_path(
+    "spanning-tree", "repro.algorithms.spanning_tree:SpanningTreeAlgorithm"
+)
+ALGORITHM_REGISTRY._register_path(
+    "single-source", "repro.algorithms.single_source:SingleSourceUnicastAlgorithm"
+)
+ALGORITHM_REGISTRY._register_path(
+    "multi-source", "repro.algorithms.multi_source:MultiSourceUnicastAlgorithm"
+)
+ALGORITHM_REGISTRY._register_path(
     "oblivious",
+    "repro.algorithms.oblivious_multi_source:ObliviousMultiSourceAlgorithm",
     defaults={"force_two_phase": True, "center_probability": 0.2},
-)(ObliviousMultiSourceAlgorithm)
+)
 
 # -- adversaries -----------------------------------------------------------
 
-register_adversary(
+ADVERSARY_REGISTRY._register_path(
     "churn",
+    "repro.adversaries.oblivious:ControlledChurnAdversary",
     defaults={"changes_per_round": 5, "edge_probability": 0.25},
     description="Oblivious adversary applying a fixed number of edge changes per round.",
-)(ControlledChurnAdversary)
-register_adversary(
+)
+ADVERSARY_REGISTRY._register_path(
     "static",
+    "repro.adversaries.oblivious:ControlledChurnAdversary",
     defaults={"changes_per_round": 0, "edge_probability": 0.25, "name": "static"},
     description="A fixed random connected graph (controlled churn with zero changes).",
-)(ControlledChurnAdversary)
-register_adversary(
+)
+ADVERSARY_REGISTRY._register_path(
     "random",
+    "repro.adversaries.oblivious:RandomChurnObliviousAdversary",
     defaults={"edge_probability": 0.25},
     description="Oblivious adversary redrawing a random connected graph every period.",
-)(RandomChurnObliviousAdversary)
-register_adversary("lower-bound")(LowerBoundAdversary)
-register_adversary(
-    "request-cutting", defaults={"cut_fraction": 0.7}
-)(RequestCuttingAdversary)
-register_adversary("star-recenter")(StarRecenterAdversary)
-register_adversary("adaptive-rewiring")(AdaptiveRewiringAdversary)
+)
+ADVERSARY_REGISTRY._register_path(
+    "lower-bound", "repro.adversaries.lower_bound:LowerBoundAdversary"
+)
+ADVERSARY_REGISTRY._register_path(
+    "request-cutting",
+    "repro.adversaries.adaptive:RequestCuttingAdversary",
+    defaults={"cut_fraction": 0.7},
+)
+ADVERSARY_REGISTRY._register_path(
+    "star-recenter", "repro.adversaries.adaptive:StarRecenterAdversary"
+)
+ADVERSARY_REGISTRY._register_path(
+    "adaptive-rewiring", "repro.adversaries.adaptive:AdaptiveRewiringAdversary"
+)
 
 
 # Every dynamics generator is registered as a schedule-replaying adversary so
@@ -128,6 +127,8 @@ def _replay(
     are hashable: ``seed`` an int (not a bool) and every parameter a number.
     A ``random.Random`` or ``None`` seed always builds afresh.
     """
+    from repro.adversaries.oblivious import ScheduleAdversary
+
     seed = params["seed"]
     if (
         isinstance(seed, int)
@@ -148,6 +149,8 @@ def static_random_adversary(
     num_nodes: int, edge_probability: float = 0.35, seed: int = 0
 ) -> ScheduleAdversary:
     """A :class:`ScheduleAdversary` replaying one static random graph."""
+    from repro.dynamics.generators import static_random_schedule
+
     return _replay(
         "static-random",
         static_random_schedule,
@@ -168,6 +171,8 @@ def churn_schedule_adversary(
     churn_fraction: float = 0.3,
     seed: int = 0,
 ) -> ScheduleAdversary:
+    from repro.dynamics.generators import churn_schedule
+
     return _replay(
         "churn-schedule",
         churn_schedule,
@@ -190,6 +195,8 @@ def edge_markovian_adversary(
     death_probability: float = 0.2,
     seed: int = 0,
 ) -> ScheduleAdversary:
+    from repro.dynamics.generators import edge_markovian_schedule
+
     return _replay(
         "edge-markovian",
         edge_markovian_schedule,
@@ -212,6 +219,8 @@ def rewiring_regular_adversary(
     rewire_probability: float = 0.5,
     seed: int = 0,
 ) -> ScheduleAdversary:
+    from repro.dynamics.generators import rewiring_regular_schedule
+
     return _replay(
         "rewiring-regular",
         rewiring_regular_schedule,
@@ -233,6 +242,8 @@ def star_oscillator_adversary(
     period: int = 1,
     seed: int = 0,
 ) -> ScheduleAdversary:
+    from repro.dynamics.generators import star_oscillator_schedule
+
     return _replay(
         "star-oscillator",
         star_oscillator_schedule,
@@ -253,6 +264,8 @@ def path_shuffle_adversary(
     period: int = 1,
     seed: int = 0,
 ) -> ScheduleAdversary:
+    from repro.dynamics.generators import path_shuffle_schedule
+
     return _replay(
         "path-shuffle",
         path_shuffle_schedule,
@@ -274,6 +287,8 @@ def geometric_mobility_adversary(
     speed: float = 0.05,
     seed: int = 0,
 ) -> ScheduleAdversary:
+    from repro.dynamics.generators import geometric_mobility_schedule
+
     return _replay(
         "geometric-mobility",
         geometric_mobility_schedule,
@@ -287,19 +302,23 @@ def geometric_mobility_adversary(
 
 # -- problems --------------------------------------------------------------
 
-register_problem(
+PROBLEM_REGISTRY._register_path(
     "single-source",
+    "repro.core.problem:single_source_problem",
     description="All k tokens start at one source node (Section 3.1).",
-)(single_source_problem)
-register_problem(
+)
+PROBLEM_REGISTRY._register_path(
     "multi-source",
+    "repro.core.problem:uniform_multi_source_problem",
     description="k tokens spread evenly over s random source nodes (Section 3.2).",
-)(uniform_multi_source_problem)
-register_problem(
+)
+PROBLEM_REGISTRY._register_path(
     "n-gossip",
+    "repro.core.problem:n_gossip_problem",
     description="One token per node: k = n, s = n.",
-)(n_gossip_problem)
-register_problem(
+)
+PROBLEM_REGISTRY._register_path(
     "random-placement",
+    "repro.core.problem:random_assignment_problem",
     description="Each token given to each node independently (Section-2 distribution).",
-)(random_assignment_problem)
+)

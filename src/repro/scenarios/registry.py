@@ -16,12 +16,17 @@ The registered callable may be a class or a factory function; its signature
 is introspected so ``python -m repro list`` can show the tunable parameters
 and their defaults, and so unknown parameters are rejected early with a
 helpful message.
+
+The library's own components are registered by import path instead
+(:mod:`repro.scenarios.builtins`, :mod:`repro.backends`): looking up or
+listing names imports none of them, and each is imported on first use.
 """
 
 from __future__ import annotations
 
 import difflib
 import functools
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -140,6 +145,46 @@ def _first_docstring_line(obj: Any) -> str:
     return doc.strip().splitlines()[0].strip()
 
 
+class _PathEntry(RegistryEntry):
+    """An entry whose factory is given as an import path ``"module:attribute"``.
+
+    The path is imported on the first read of :attr:`factory` (so by
+    :meth:`parameters`, :meth:`create` and :meth:`describe` too), and a
+    description left unset is then the factory's first docstring line.
+    The dataclass ``__init__`` stores both fields through the setters.
+    """
+
+    #: The import path the factory was registered by.
+    path = ""
+
+    @property  # type: ignore[override]
+    def factory(self) -> Callable[..., Any]:
+        if "_factory" not in self.__dict__:
+            module_name, _, attribute = self.path.partition(":")
+            try:
+                factory = getattr(importlib.import_module(module_name), attribute)
+            except (ImportError, AttributeError) as error:
+                raise ConfigurationError(
+                    f"cannot load {self.name!r} from {self.path!r}: {error}"
+                ) from error
+            self.__dict__["_factory"] = factory
+        return self.__dict__["_factory"]
+
+    @factory.setter
+    def factory(self, factory: Any) -> None:
+        self.__dict__["path" if isinstance(factory, str) else "_factory"] = factory
+
+    @property  # type: ignore[override]
+    def description(self) -> str:
+        if self.__dict__["_description"] is None:
+            self.__dict__["_description"] = _first_docstring_line(self.factory)
+        return self.__dict__["_description"]
+
+    @description.setter
+    def description(self, description: Any) -> None:
+        self.__dict__["_description"] = description
+
+
 class Registry:
     """A case-sensitive name → :class:`RegistryEntry` mapping for one kind."""
 
@@ -181,6 +226,21 @@ class Registry:
             return factory
 
         return decorator
+
+    def _register_path(
+        self,
+        name: str,
+        path: str,
+        *,
+        defaults: Optional[Mapping[str, Any]] = None,
+        description: Optional[str] = None,
+    ) -> None:
+        """Register the factory at import path ``"module:attribute"`` under ``name``.
+
+        How the library registers its own components: nothing is imported
+        until the entry's factory is first needed (see :class:`_PathEntry`).
+        """
+        self._entries[name] = _PathEntry(name, path, dict(defaults or {}), description)
 
     def get(self, name: str) -> RegistryEntry:
         """The entry for ``name``; raises with a suggestion on a miss.

@@ -25,11 +25,10 @@ batch, regardless of worker count or scheduling.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, NamedTuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple
 
-from repro.core.problem import DisseminationProblem
-from repro.core.result import ExecutionResult
-from repro.scenarios import builtins as _builtins  # noqa: F401  (populates registries)
+from repro.backends import get_backend
+from repro.results.records import SCHEMA_VERSION as RECORD_SCHEMA_VERSION
 from repro.scenarios.registry import (
     ADVERSARY_REGISTRY,
     ALGORITHM_REGISTRY,
@@ -39,10 +38,9 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.utils.rng import derive_seed
 from repro.utils.validation import ConfigurationError
 
-#: Version stamped into every emitted record; bump on incompatible layout
-#: changes so :mod:`repro.results.records` can reject records it cannot read.
-#: v2: the embedded spec gained the ``backend`` field.
-RECORD_SCHEMA_VERSION = 2
+if TYPE_CHECKING:
+    from repro.core.problem import DisseminationProblem
+    from repro.core.result import ExecutionResult
 
 
 class MaterializedScenario(NamedTuple):
@@ -94,10 +92,6 @@ def run_scenario(
             f"repetition {repetition} out of range for a spec with "
             f"{spec.repetitions} repetition(s)"
         )
-    # Imported lazily: repro.backends itself imports the scenario layer (for
-    # the shared Registry), so a module-level import here would be circular.
-    from repro.backends import get_backend
-
     scenario = materialize(spec)
     backend = get_backend(spec.backend)
     kwargs: Dict[str, Any] = {}

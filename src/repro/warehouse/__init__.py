@@ -10,21 +10,26 @@ cross-experiment reports (:mod:`~repro.warehouse.consolidated`).
 Exposed on the command line as ``repro warehouse [sync|rebuild|query|report]``.
 """
 
-from repro.warehouse.consolidated import (
-    consolidated_overview_rows,
-    render_consolidated_report,
-)
-from repro.warehouse.incremental import cached_aggregate
-from repro.warehouse.index import (
-    INDEX_FILENAME,
-    INDEX_SCHEMA_VERSION,
-    SyncStats,
-    WarehouseIndex,
-    open_index,
-    rebuild_index,
-    sqlite_available,
-)
-from repro.warehouse.query import WarehouseQuery
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.warehouse.consolidated import (
+        consolidated_overview_rows,
+        render_consolidated_report,
+    )
+    from repro.warehouse.incremental import cached_aggregate
+    from repro.warehouse.index import (
+        INDEX_FILENAME,
+        INDEX_SCHEMA_VERSION,
+        SyncStats,
+        WarehouseIndex,
+        open_index,
+        rebuild_index,
+        sqlite_available,
+    )
+    from repro.warehouse.query import WarehouseQuery
 
 __all__ = [
     "INDEX_FILENAME",
@@ -39,3 +44,24 @@ __all__ = [
     "render_consolidated_report",
     "sqlite_available",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.warehouse.consolidated": (
+            "consolidated_overview_rows",
+            "render_consolidated_report",
+        ),
+        "repro.warehouse.incremental": ("cached_aggregate",),
+        "repro.warehouse.index": (
+            "INDEX_FILENAME",
+            "INDEX_SCHEMA_VERSION",
+            "SyncStats",
+            "WarehouseIndex",
+            "open_index",
+            "rebuild_index",
+            "sqlite_available",
+        ),
+        "repro.warehouse.query": ("WarehouseQuery",),
+    },
+)

@@ -15,7 +15,7 @@ from repro.api import (
     load_runs,
 )
 from repro.obs import CellCompleted
-from repro.results import RunStore
+from repro.results import RunRecord, RunStore
 from repro.scenarios import ScenarioSpec, record_to_json_line, run_spec, sweep
 from repro.utils.validation import ConfigurationError, ReproError
 
@@ -563,6 +563,24 @@ class TestPipelineHandles:
         assert from_file.aggregate(by=["n"]).table("md") == from_store.aggregate(
             by=["n"]
         ).table("md")
+
+    def test_records_built_runsets_report_without_parsing_again(self, monkeypatch):
+        records = small_experiment().run().records()
+        by_dicts = RunSet.from_records(records)
+        expected = (by_dicts.report("md"), by_dicts.aggregate().rows)
+        by_records = RunSet.from_records([RunRecord.from_dict(r) for r in records])
+        parse = RunRecord.from_dict.__func__
+        parsed = []
+
+        def counting_parse(cls, payload):
+            parsed.append(payload)
+            return parse(cls, payload)
+
+        monkeypatch.setattr(RunRecord, "from_dict", classmethod(counting_parse))
+        for runset in (by_records, by_dicts):
+            assert (runset.report("md"), runset.aggregate().rows) == expected
+        assert parsed == []
+        assert by_records.records() == records
 
     def test_load_runs_rejects_missing_sources(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no such"):

@@ -1,5 +1,6 @@
 """Tests of the top-level public API surface."""
 
+import ast
 import importlib
 import json
 import os
@@ -124,6 +125,56 @@ class TestPublicApiSnapshot:
         assert len(repro.api.__all__) == len(set(repro.api.__all__))
 
 
+def package_exports(init_path):
+    """``(type-checking imports, lazy table, eager names)`` of a package ``__init__``."""
+    checked, table, eager = {}, {}, set()
+    for node in ast.parse(init_path.read_text()).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            for statement in node.body:
+                checked[statement.module] = tuple(alias.name for alias in statement.names)
+        elif isinstance(node, ast.ImportFrom):
+            eager.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            if isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "lazy_namespace":
+                table = ast.literal_eval(node.value.args[1])
+            else:
+                eager.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return checked, table, eager
+
+
+class TestLazyNamespaces:
+    """A package lists each lazily exported name twice: in the table its
+    ``__getattr__`` resolves at run time and in the ``if TYPE_CHECKING:``
+    imports that type checkers read.  Both lists must agree, and
+    ``__all__`` must name exactly the exports."""
+
+    INITS = sorted(pathlib.Path(repro.__file__).parent.rglob("__init__.py"))
+
+    @pytest.mark.parametrize("init_path", INITS, ids=lambda path: path.parent.name)
+    def test_type_checking_imports_match_the_lazy_table(self, init_path):
+        checked, table, eager = package_exports(init_path)
+        assert table, f"{init_path} has no lazy_namespace table"
+        assert checked == table
+        package = importlib.import_module(
+            ".".join(init_path.parent.relative_to(pathlib.Path(repro.__file__).parents[1]).parts)
+        )
+        lazy = {name for names in table.values() for name in names}
+        assert lazy <= set(package.__all__)
+        assert set(package.__all__) <= lazy | eager
+
+    def test_a_submodule_resolves_as_an_attribute_of_its_package(self):
+        script = textwrap.dedent(
+            """
+            import repro
+            print(repro.api.Experiment.__name__, repro.core.rounds.RoundKernel.__name__)
+            print(hasattr(repro, "no_such_name"), hasattr(repro.core, "no_such_module"))
+            """
+        )
+        assert run_fresh_interpreter(script).stdout.split() == [
+            "Experiment", "RoundKernel", "False", "False",
+        ]
+
+
 class TestTyping:
     def test_py_typed_marker_ships_with_the_package(self):
         package_dir = pathlib.Path(repro.__file__).parent
@@ -142,11 +193,14 @@ class TestCoreWithoutNumpy:
     """``pyproject.toml`` promises a core that needs only the standard
     library; numpy is the ``repro[fast]`` extra and networkx the
     ``repro[graphs]`` extra.  A fresh interpreter with both blocked must
-    import the package, plan experiments, and explain the missing extra
-    only where it is really needed."""
+    import the package and every public name of it and its subpackages,
+    load every built-in component, plan experiments, and explain the
+    missing extra only where it is really needed."""
 
     SCRIPT = textwrap.dedent(
         """
+        import importlib
+        import pkgutil
         import sys
         sys.modules["numpy"] = None
         sys.modules["networkx"] = None
@@ -156,6 +210,24 @@ class TestCoreWithoutNumpy:
         import repro.backends
         import repro.warehouse
         from repro.analysis.experiments import fit_power_law
+
+        packages = ["repro"] + [
+            info.name
+            for info in pkgutil.iter_modules(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        for package in packages:
+            module = importlib.import_module(package)
+            for name in module.__all__:
+                getattr(module, name)
+        registries = (
+            repro.ALGORITHM_REGISTRY,
+            repro.ADVERSARY_REGISTRY,
+            repro.PROBLEM_REGISTRY,
+            repro.backends.BACKEND_REGISTRY,
+        )
+        factories = [entry.factory for registry in registries for entry in registry.entries()]
+        print("resolved", len(packages), "packages,", len(factories), "factories")
 
         plan = repro.Experiment.grid(
             algorithm="single-source", adversary="churn",
@@ -187,6 +259,13 @@ class TestCoreWithoutNumpy:
         assert "ConfigurationError:" in completed.stdout
         assert "repro[fast]" in completed.stdout
 
+    def test_every_public_name_and_builtin_resolves_without_numpy(self):
+        line = run_fresh_interpreter(self.SCRIPT).stdout.splitlines()[0]
+        _, packages, _, factories, _ = line.split()
+        # Twelve subpackages under repro; 7 algorithms, 14 adversaries,
+        # 4 problems and 3 backends are built in.
+        assert int(packages) >= 13 and int(factories) >= 28, line
+
     def test_graph_exports_name_the_graphs_extra_without_networkx(self):
         lines = [
             line
@@ -203,8 +282,28 @@ class TestCoreWithoutNumpy:
 
 class TestStdlibOnlyStartup:
     """A fresh ``import repro`` that plans one spec of each benchmark shape
-    loads nothing outside the standard library and ``repro`` itself: every
-    experiment process pays for what this start imports."""
+    loads nothing outside the standard library, and of ``repro`` itself
+    nothing that only running, reporting or the CLI needs: every experiment
+    process pays for what this start imports."""
+
+    #: ``repro`` modules a start must not load (a trailing dot: any submodule).
+    NOT_AT_START = (
+        "repro.algorithms.",
+        "repro.core.rounds",
+        "repro.core.engine",
+        "repro.batch.",
+        "repro.backends.bitset",
+        "repro.backends.reference",
+        "repro.backends.differential",
+        "repro.analysis.",
+        "repro.results.report",
+        "repro.results.compare",
+        "repro.obs.tracing",
+        "repro.obs.trace",
+        "repro.warehouse.consolidated",
+        "repro.cli",
+        "repro.benchmark",
+    )
 
     SCRIPT = textwrap.dedent(
         """
@@ -256,15 +355,52 @@ class TestStdlibOnlyStartup:
                 name for name in ("networkx", "numpy", "multiprocessing")
                 if name in sys.modules
             ],
+            "repro": sorted(name for name in loaded if name.partition(".")[0] == "repro"),
         }}))
         """
     )
 
-    def test_import_and_plan_load_only_the_standard_library(self, tmp_path):
+    def loaded(self, tmp_path):
         script = self.SCRIPT.format(store=str(tmp_path / "store"))
-        loaded = json.loads(run_fresh_interpreter(script).stdout.splitlines()[-1])
+        return json.loads(run_fresh_interpreter(script).stdout.splitlines()[-1])
+
+    def test_import_and_plan_load_only_the_standard_library(self, tmp_path):
+        loaded = self.loaded(tmp_path)
         assert loaded["outside"] == [], loaded["outside"]
         assert loaded["heavy"] == [], loaded["heavy"]
+
+    def test_import_and_plan_load_no_engine_report_or_cli_module(self, tmp_path):
+        repro_modules = self.loaded(tmp_path)["repro"]
+        assert "repro.api" in repro_modules, repro_modules
+        unexpected = [
+            name
+            for name in repro_modules
+            if any(
+                name.startswith(prefix) if prefix.endswith(".") else name == prefix
+                for prefix in self.NOT_AT_START
+            )
+        ]
+        assert unexpected == [], unexpected
+
+
+class TestFirstImport:
+    """Any module can be the first one a process imports: a user's script or
+    a spawned worker may start from a module's documented home."""
+
+    @pytest.mark.parametrize(
+        "statement",
+        ["import repro.batch.backend", "from repro.batch.backend import BatchBackend"],
+    )
+    def test_the_batch_backend_imports_first(self, statement):
+        script = textwrap.dedent(
+            f"""
+            {statement}
+            from repro.backends import BACKEND_REGISTRY, BatchBackend
+            assert BACKEND_REGISTRY.get("batch").factory is BatchBackend
+            print(BatchBackend.name)
+            """
+        )
+        assert run_fresh_interpreter(script).stdout.split() == ["batch"]
 
 
 def run_fresh_interpreter(script):

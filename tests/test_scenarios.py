@@ -1,5 +1,6 @@
 """Tests for the declarative Scenario API: registries, specs and the runner."""
 
+import importlib
 import json
 import random
 
@@ -129,6 +130,57 @@ class TestRegistryExtension:
             registry.register("w")(lambda: 2)
         registry.register("w", replace=True)(lambda: 3)
         assert registry.create("w") == 3
+
+
+class TestBuiltinsRegisteredByPath:
+    """The library's own components are registered by import path and
+    imported when an entry first needs its factory."""
+
+    def path_entries(self):
+        from repro.backends import BACKEND_REGISTRY
+
+        for registry in (
+            ALGORITHM_REGISTRY,
+            ADVERSARY_REGISTRY,
+            PROBLEM_REGISTRY,
+            BACKEND_REGISTRY,
+        ):
+            for entry in registry.entries():
+                if getattr(entry, "path", ""):
+                    yield registry.kind, entry
+
+    def test_each_path_resolves_to_the_object_its_home_module_defines(self):
+        resolved = {}
+        for kind, entry in self.path_entries():
+            module_name, _, attribute = entry.path.partition(":")
+            home = importlib.import_module(module_name)
+            assert entry.factory is getattr(home, attribute), entry.path
+            assert entry.factory.__module__ == module_name, entry.path
+            resolved[(kind, entry.name)] = entry.path
+        kinds = [kind for kind, _ in resolved]
+        assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+            "algorithm": 7,
+            "adversary": 7,
+            "problem": 4,
+            "backend": 3,
+        }
+
+    def test_lookups_resolve_nothing_and_a_missing_module_fails_at_first_use(self):
+        registry = Registry("widget")
+        registry._register_path("ghost", "repro.no_such_module:Ghost")
+        assert "ghost" in registry
+        assert registry.names() == ["ghost"]
+        entry = registry.get("ghost")
+        uses = (
+            lambda: entry.factory,
+            lambda: entry.description,
+            entry.parameters,
+            entry.describe,
+            lambda: registry.create("ghost"),
+        )
+        for use in uses:
+            with pytest.raises(ConfigurationError, match="repro.no_such_module:Ghost"):
+                use()
 
 
 def small_spec(**overrides):
