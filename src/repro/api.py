@@ -409,30 +409,6 @@ class Experiment:
         ADVERSARY_REGISTRY.get(spec.adversary)
         BACKEND_REGISTRY.get(spec.backend)
 
-    @staticmethod
-    def _warehouse_lookup(store: RunStore) -> Optional[Any]:
-        """The warehouse query API for ``store``, when an index exists.
-
-        Cache checks over a large store then cost one sqlite lookup per
-        scenario instead of a shard read.  Any warehouse trouble (no
-        sqlite, no index, corruption, failed sync) falls back to shard
-        scans — the plan is always correct, the index only makes it fast.
-        The index also attaches to the store, so cells persisted by this
-        very run keep it warm.
-        """
-        from repro.warehouse import open_index
-
-        index = open_index(store.path)
-        if index is None:
-            return None
-        try:
-            index.sync()
-        except ReproError as error:
-            logger.warning("warehouse sync failed (%s); using shard scans", error)
-            return None
-        index.attach(store)
-        return index.query()
-
     def plan(self) -> "ExperimentPlan":
         """Expand the grid into scenario×repetition cells and split them
         into cached (already in the bound store, current schema) and
@@ -440,12 +416,11 @@ class Experiment:
         always reflects the store's state *now*.
         """
         store = RunStore(self._store_path) if self._store_path is not None else None
-        lookup = self._warehouse_lookup(store) if store is not None else None
         cells: List[PlanCell] = []
         for spec in self.specs():
-            stored: Mapping[int, Any] = {}
+            stored: Mapping[int, RunRecord] = {}
             if store is not None:
-                stored = (lookup or store).repetitions_present(
+                stored = store.repetitions_present(
                     spec.scenario_key(), schema_version=SCHEMA_VERSION
                 )
             for repetition in range(spec.repetitions):

@@ -27,8 +27,8 @@ problems show up automatically:
 * ``warehouse`` — maintain the sqlite index over a run store
   (``sync``/``rebuild``), count, aggregate or take percentiles of its
   records (``query``) and render the consolidated cross-experiment report
-  (``report``); ``analyze`` and ``report`` read a store through its index
-  when it has one;
+  (``report``); only these commands read the index, ``analyze`` and
+  ``report`` read a store's shards;
 * ``table1`` — regenerate Table 1 (analytic bounds) for a given n;
 * ``bounds`` — evaluate every theorem bound at a given (n, k, s).
 
@@ -65,6 +65,7 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import repro
 from repro.analysis.bounds import (
     flooding_amortized_upper_bound,
     local_broadcast_lower_bound,
@@ -107,18 +108,6 @@ _REGISTRY_PLURALS = {
 }
 
 
-def _package_version() -> str:
-    """The installed distribution version, falling back to the source tree's."""
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("repro")
-    except PackageNotFoundError:
-        import repro
-
-        return repro.__version__
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -129,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {_package_version()}",
+        version=f"%(prog)s {repro.__version__}",
         help="print the package version and exit",
     )
     parser.add_argument(
@@ -923,11 +912,7 @@ def _split_option(value: Optional[str]) -> Optional[List[str]]:
 
 
 def _load_runset(source: str) -> RunSet:
-    """A :class:`repro.api.RunSet` over a file, store directory or stdin.
-
-    A store directory with a warehouse index is read through the index
-    (see :func:`_warehouse_query`), anything else through ``load_runs``.
-    """
+    """A :class:`repro.api.RunSet` over a file, store directory or stdin."""
     from repro.results import iter_records
 
     if source == "-":
@@ -938,43 +923,10 @@ def _load_runset(source: str) -> RunSet:
                 "or pass a JSONL file / run-store directory"
             )
         return RunSet.from_records(records)
-    query = _warehouse_query(source)
-    runset = (
-        RunSet.from_records(query.records()) if query is not None else load_runs(source)
-    )
+    runset = load_runs(source)
     if not len(runset):
         raise ConfigurationError(f"{source} holds no records")
     return runset
-
-
-def _warehouse_query(source: str) -> Optional[Any]:
-    """The warehouse query API for a store source, or ``None`` to shard-scan.
-
-    When ``source`` is a run-store directory carrying an index, sync it
-    (skipping unchanged shards via watermarks, reported on stderr so
-    stdout stays byte-identical to the index-less path) and answer from
-    sqlite.  Everything else — JSONL files, stores without an index,
-    corrupt indexes, failed syncs — falls back to shard scans.
-    """
-    from repro.results.store import is_store_path
-
-    if not is_store_path(source):
-        return None
-    from repro.warehouse import open_index
-
-    index = open_index(source)
-    if index is None:
-        return None
-    try:
-        stats = index.sync()
-    except ReproError as error:
-        print(
-            f"warehouse sync failed ({error}); falling back to shard scans",
-            file=sys.stderr,
-        )
-        return None
-    print(stats.summary(source), file=sys.stderr)
-    return index.query()
 
 
 def command_analyze(args: argparse.Namespace) -> int:

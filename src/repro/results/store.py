@@ -23,6 +23,14 @@ skipping it: the new record is appended and reads take the **last**
 occurrence per repetition (last-wins), which is how the incremental
 runner (:mod:`repro.api`) refreshes records written under an older schema
 without breaking the append-only layout.
+
+The shards are the one read path for a store's records: plans
+(:meth:`repro.api.Experiment.plan`), ``repro analyze`` and ``repro report``
+read them.  A directory holding ``manifest.json`` or ``shards/`` is a store
+(:func:`is_store_path`): a writer killed before its first manifest save
+leaves only shards, and opening the store recovers them.  A
+``warehouse.sqlite`` index beside them (:mod:`repro.warehouse`) is derived
+by ``repro warehouse sync``; writes here never touch it.
 """
 
 from __future__ import annotations
@@ -31,11 +39,9 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -65,30 +71,6 @@ def shard_id_for_key(scenario_key: str) -> str:
     return hashlib.sha256(scenario_key.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class StoreAppendEvent:
-    """One shard append, as delivered to registered store listeners.
-
-    Emitted under the store's writer lock immediately after the shard file
-    grows, so a listener sees the append atomically with respect to other
-    writers.  ``before``/``after`` are ``(mtime_ns, size_bytes)`` watermarks
-    of the shard file around the append (``before`` is ``None`` for a brand
-    new shard) — derived indexes compare ``before`` against their recorded
-    watermark to decide whether they may fold ``records`` in directly or
-    must re-read the shard.
-    """
-
-    shard_id: str
-    scenario_key: str
-    records: Tuple[RunRecord, ...]
-    before: Optional[Tuple[int, int]]
-    after: Tuple[int, int]
-
-
-#: A store append listener (see :meth:`RunStore.add_listener`).
-StoreListener = Callable[[StoreAppendEvent], None]
-
-
 class RunStore:
     """A directory of JSONL shards plus a manifest, with dedup on ingest."""
 
@@ -111,9 +93,6 @@ class RunStore:
         # True when in-memory manifest changes have not been saved to disk
         # (add(..., save_manifest=False)); flush() persists them.
         self._manifest_dirty = False
-        # Append listeners (e.g. the warehouse index keeping itself warm);
-        # notified under the writer lock right after each shard append.
-        self._listeners: List[StoreListener] = []
         self._recover_orphan_shards()
 
     # -- manifest ----------------------------------------------------------
@@ -210,24 +189,6 @@ class RunStore:
             "problem": sample.problem,
             "count": len(self._known[shard_id]),
         }
-
-    # -- listeners ---------------------------------------------------------
-
-    def add_listener(self, listener: StoreListener) -> None:
-        """Register a callback for every shard append this writer performs.
-
-        The callback runs synchronously under the store's writer lock (so
-        it observes the append atomically w.r.t. other processes) and must
-        not write to this store.  Registering the same callable twice is a
-        no-op.
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener: StoreListener) -> None:
-        """Deregister a callback registered with :meth:`add_listener`."""
-        with contextlib.suppress(ValueError):
-            self._listeners.remove(listener)
 
     # -- ingest ------------------------------------------------------------
 
@@ -331,25 +292,9 @@ class RunStore:
         skipped = len(records) - len(fresh)
         if fresh:
             path = self._shard_path(shard_id)
-            with self._write_lock():
-                before: Optional[Tuple[int, int]] = None
-                if self._listeners and path.exists():
-                    stat = path.stat()
-                    before = (stat.st_mtime_ns, stat.st_size)
-                with open(path, "a", encoding="utf-8") as handle:
-                    for record in fresh:
-                        handle.write(record.to_json_line() + "\n")
-                if self._listeners:
-                    stat = path.stat()
-                    event = StoreAppendEvent(
-                        shard_id=shard_id,
-                        scenario_key=scenario_key,
-                        records=tuple(fresh),
-                        before=before,
-                        after=(stat.st_mtime_ns, stat.st_size),
-                    )
-                    for listener in list(self._listeners):
-                        listener(event)
+            with self._write_lock(), open(path, "a", encoding="utf-8") as handle:
+                for record in fresh:
+                    handle.write(record.to_json_line() + "\n")
             cache = self._latest_lines.get(shard_id)
             if cache is not None:
                 for record in fresh:
@@ -474,9 +419,13 @@ class RunStore:
 
 
 def is_store_path(path: Union[str, "os.PathLike[str]"]) -> bool:
-    """Whether ``path`` looks like a run-store directory."""
+    """Whether ``path`` is a run-store directory: one holding a manifest or
+    a shard directory (a first writer killed before its manifest save
+    leaves only shards, which :class:`RunStore` recovers)."""
     path = Path(path)
-    return path.is_dir() and (path / _MANIFEST_NAME).exists()
+    return path.is_dir() and (
+        (path / _MANIFEST_NAME).exists() or (path / _SHARD_DIR).is_dir()
+    )
 
 
 def open_source(
@@ -487,8 +436,8 @@ def open_source(
     if path.is_dir():
         if not is_store_path(path):
             raise ConfigurationError(
-                f"{path} is a directory but has no {_MANIFEST_NAME}; "
-                f"expected a run store or a JSONL file"
+                f"{path} is a directory but has no {_MANIFEST_NAME} or "
+                f"{_SHARD_DIR}/; expected a run store or a JSONL file"
             )
         return RunStore(path).records()
     if not path.exists():

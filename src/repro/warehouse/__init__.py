@@ -8,6 +8,11 @@ the shard-scan path's own :func:`~repro.results.aggregate.aggregate`
 (:mod:`~repro.warehouse.incremental`), and renders consolidated
 cross-experiment reports (:mod:`~repro.warehouse.consolidated`).
 Exposed on the command line as ``repro warehouse [sync|rebuild|query|report]``.
+
+The index is read only here: by ``repro warehouse`` and by code that opens
+a :class:`WarehouseIndex`.  Plans, ``repro analyze`` and ``repro report``
+read a store's shards, and store writes leave the index as it is until the
+next :meth:`WarehouseIndex.sync`.
 """
 
 from typing import TYPE_CHECKING
@@ -25,9 +30,7 @@ if TYPE_CHECKING:
         INDEX_SCHEMA_VERSION,
         SyncStats,
         WarehouseIndex,
-        open_index,
         rebuild_index,
-        sqlite_available,
     )
     from repro.warehouse.query import WarehouseQuery
 
@@ -39,10 +42,8 @@ __all__ = [
     "WarehouseQuery",
     "cached_aggregate",
     "consolidated_overview_rows",
-    "open_index",
     "rebuild_index",
     "render_consolidated_report",
-    "sqlite_available",
 ]
 
 __getattr__, __dir__ = lazy_namespace(
@@ -58,9 +59,7 @@ __getattr__, __dir__ = lazy_namespace(
             "INDEX_SCHEMA_VERSION",
             "SyncStats",
             "WarehouseIndex",
-            "open_index",
             "rebuild_index",
-            "sqlite_available",
         ),
         "repro.warehouse.query": ("WarehouseQuery",),
     },

@@ -12,19 +12,19 @@ as a derived, disposable view:
   (the store is append-only: any write grows the file);
 * a ``meta`` table carrying the index schema version.
 
-The index stores records and answers lookups (plan cache checks, counts,
-percentiles, filtered record streams); every aggregation is
+The index stores records and answers lookups (counts, percentiles,
+filtered record streams); every aggregation is
 :func:`repro.results.aggregate.aggregate` over the records it returns.
+
+The index is an explicit tool: ``repro warehouse`` and code that opens a
+:class:`WarehouseIndex` read it.  Plans, ``repro analyze`` and ``repro
+report`` read a store's shards whether or not it has an index, and store
+writes never touch it, so after a sweep the next :meth:`~WarehouseIndex.sync`
+re-reads the shards the sweep grew.
 
 :func:`rebuild_index` deletes the database and re-derives everything from
 the shards — the recovery path for a corrupt or stale index, and the proof
 that nothing lives only in sqlite.
-
-A live :class:`~repro.results.store.RunStore` writer can :meth:`attach` the
-index: every shard append then lands in sqlite in the same breath (under
-the store's writer lock), keeping the index warm with zero re-reads.  An
-:class:`~repro.api.Experiment` planned against a store that has an index
-attaches it, so the cells its run persists are queryable at once.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 try:  # Gated: minimal python builds may omit the sqlite3 extension module.
     import sqlite3
-except ImportError:  # pragma: no cover - exercised via sqlite_available()
+except ImportError:  # pragma: no cover - minimal python builds
     sqlite3 = None  # type: ignore[assignment]
 
 try:  # Advisory locking shared with the store; absent on non-POSIX platforms.
@@ -47,10 +47,8 @@ try:  # Advisory locking shared with the store; absent on non-POSIX platforms.
 except ImportError:  # pragma: no cover - windows
     fcntl = None  # type: ignore[assignment]
 
-from repro.obs.logs import get_logger
-from repro.obs.metrics import MetricsRegistry
 from repro.results.records import RunRecord, iter_records
-from repro.results.store import RunStore, StoreAppendEvent
+from repro.results.store import is_store_path
 from repro.utils.validation import ConfigurationError
 
 __all__ = [
@@ -58,12 +56,8 @@ __all__ = [
     "INDEX_SCHEMA_VERSION",
     "SyncStats",
     "WarehouseIndex",
-    "open_index",
     "rebuild_index",
-    "sqlite_available",
 ]
-
-logger = get_logger(__name__)
 
 #: The index database file, inside the store directory it indexes.
 INDEX_FILENAME = "warehouse.sqlite"
@@ -130,11 +124,6 @@ _INSERT_RUN = (
 )
 
 
-def sqlite_available() -> bool:
-    """Whether this python build ships the ``sqlite3`` extension module."""
-    return sqlite3 is not None
-
-
 @dataclass
 class SyncStats:
     """What one :meth:`WarehouseIndex.sync` actually did."""
@@ -183,10 +172,10 @@ def _run_row(record: RunRecord, shard_id: str) -> Tuple[Any, ...]:
 
 
 def _require_store(path: Path) -> None:
-    """Refuse paths that are clearly not run stores (no silent mkdir)."""
+    """Refuse paths that are not run stores (no silent mkdir)."""
     if not path.is_dir():
         raise ConfigurationError(f"{path} is not a run-store directory")
-    if not (path / "manifest.json").exists() and not (path / "shards").is_dir():
+    if not is_store_path(path):
         raise ConfigurationError(
             f"{path} does not look like a run store (no manifest.json or shards/)"
         )
@@ -195,12 +184,7 @@ def _require_store(path: Path) -> None:
 class WarehouseIndex:
     """The sqlite index of one run store (see the module docstring)."""
 
-    def __init__(
-        self,
-        store_path: Union[str, "os.PathLike[str]"],
-        *,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, store_path: Union[str, "os.PathLike[str]"]) -> None:
         if sqlite3 is None:
             raise ConfigurationError(
                 "the warehouse index needs the stdlib sqlite3 module, which "
@@ -209,8 +193,6 @@ class WarehouseIndex:
         self._store_path = Path(store_path)
         _require_store(self._store_path)
         self._db_path = self._store_path / INDEX_FILENAME
-        self._metrics = metrics
-        self._attached: Optional[RunStore] = None
         try:
             self._conn = sqlite3.connect(str(self._db_path))
             self._conn.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
@@ -255,16 +237,9 @@ class WarehouseIndex:
         """The underlying connection (for the query layer)."""
         return self._conn
 
-    @classmethod
-    def exists(cls, store_path: Union[str, "os.PathLike[str]"]) -> bool:
-        """Whether ``store_path`` carries an index file."""
-        return (Path(store_path) / INDEX_FILENAME).exists()
-
     def close(self) -> None:
-        """Detach from any store and close the connection."""
-        self.detach()
-        if self._conn is not None:
-            self._conn.close()
+        """Close the connection."""
+        self._conn.close()
 
     def __enter__(self) -> "WarehouseIndex":
         return self
@@ -382,7 +357,6 @@ class WarehouseIndex:
                 f"run 'repro warehouse rebuild {self._store_path}'"
             ) from error
         stats.seconds = time.perf_counter() - started
-        self._record_sync_metrics(stats)
         return stats
 
     @staticmethod
@@ -396,107 +370,8 @@ class WarehouseIndex:
                 lines += 1
         return latest, lines
 
-    def _record_sync_metrics(self, stats: SyncStats) -> None:
-        if self._metrics is None:
-            return
-        self._metrics.counter("warehouse.sync.calls").inc()
-        self._metrics.counter("warehouse.sync.shards_read").inc(stats.shards_read)
-        self._metrics.counter("warehouse.sync.shards_skipped").inc(stats.shards_skipped)
-        self._metrics.counter("warehouse.sync.rows_added").inc(stats.rows_added)
-        self._metrics.histogram("warehouse.sync.seconds").observe(stats.seconds)
-
-    # -- live writer attachment -------------------------------------------
-
-    def attach(self, store: RunStore) -> None:
-        """Mirror every append ``store`` performs into the index, eagerly.
-
-        The listener runs under the store's writer lock.  When the index's
-        shard watermark matches the pre-append state it folds the fresh
-        records in directly and advances the watermark — a no-op ``sync``
-        afterwards re-reads nothing.  When the index was behind (or sqlite
-        errors out) the shard watermark is dropped instead, so the next
-        ``sync`` re-reads that shard and reconciles.
-        """
-        if self._attached is store:
-            return
-        self.detach()
-        store.add_listener(self._on_store_append)
-        self._attached = store
-
-    def detach(self) -> None:
-        """Stop mirroring the attached store's appends."""
-        if self._attached is not None:
-            self._attached.remove_listener(self._on_store_append)
-            self._attached = None
-
-    def _on_store_append(self, event: StoreAppendEvent) -> None:
-        try:
-            with self._conn:
-                row = self._conn.execute(
-                    "SELECT mtime_ns, size_bytes, line_count FROM shards "
-                    "WHERE shard_id = ?",
-                    (event.shard_id,),
-                ).fetchone()
-                current = (
-                    (row is None and event.before is None)
-                    or (row is not None and (row[0], row[1]) == event.before)
-                )
-                for record in event.records:
-                    self._conn.execute(_INSERT_RUN, _run_row(record, event.shard_id))
-                if current:
-                    line_count = (row[2] if row is not None else 0) + len(event.records)
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO shards "
-                        "(shard_id, scenario_key, mtime_ns, size_bytes, line_count) "
-                        "VALUES (?, ?, ?, ?, ?)",
-                        (
-                            event.shard_id,
-                            event.scenario_key,
-                            event.after[0],
-                            event.after[1],
-                            line_count,
-                        ),
-                    )
-                else:
-                    # The index missed earlier lines of this shard: drop the
-                    # watermark so the next sync re-reads and reconciles.
-                    self._conn.execute(
-                        "DELETE FROM shards WHERE shard_id = ?", (event.shard_id,)
-                    )
-        except sqlite3.Error as error:
-            logger.warning(
-                "warehouse index %s could not mirror a store append (%s); "
-                "detaching — run 'repro warehouse sync' to catch up",
-                self._db_path,
-                error,
-            )
-            self.detach()
-
-
-def open_index(
-    store_path: Union[str, "os.PathLike[str]"],
-    *,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Optional[WarehouseIndex]:
-    """Open an **existing** index, or ``None`` for transparent fallback.
-
-    Returns ``None`` when sqlite is unavailable, when the store has no
-    index file, or when the index is unreadable (logged as a warning) —
-    callers then fall back to plain shard scans.
-    """
-    if sqlite3 is None or not WarehouseIndex.exists(store_path):
-        return None
-    try:
-        return WarehouseIndex(store_path, metrics=metrics)
-    except ConfigurationError as error:
-        logger.warning("%s; falling back to shard scans", error)
-        return None
-
-
 def rebuild_index(
-    store_path: Union[str, "os.PathLike[str]"],
-    *,
-    metrics: Optional[MetricsRegistry] = None,
+    store_path: Union[str, "os.PathLike[str]"]
 ) -> Tuple[WarehouseIndex, SyncStats]:
     """Delete the index database and re-derive it from the JSONL shards.
 
@@ -514,6 +389,6 @@ def rebuild_index(
     for suffix in ("", "-journal", "-wal", "-shm"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(f"{db_path}{suffix}")
-    index = WarehouseIndex(store_path, metrics=metrics)
+    index = WarehouseIndex(store_path)
     stats = index.sync()
     return index, stats

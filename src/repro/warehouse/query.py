@@ -1,14 +1,13 @@
 """Typed queries over the warehouse index.
 
-:class:`WarehouseQuery` mirrors the read API of
-:class:`~repro.results.store.RunStore` — ``records_for_key``,
-``repetitions_present``, ``query``-style filtered record lists — but
-answers from sqlite instead of shard scans, so a cache check over a
-million-record store touches one B-tree lookup instead of a JSONL file.
-Records reconstruct from the canonical JSON column, so every result is a
-full :class:`~repro.results.records.RunRecord`, bit-identical to what a
-shard scan would have produced, and in the same ``(scenario_key,
-repetition)`` order.
+:class:`WarehouseQuery` answers ``repro warehouse query`` and ``report``
+from sqlite: record counts and metric percentiles under component-name
+filters, and filtered record lists with the semantics of
+:meth:`RunStore.query <repro.results.store.RunStore.query>`.  Records
+reconstruct from the canonical JSON column, so every result is a full
+:class:`~repro.results.records.RunRecord`, bit-identical to what a shard
+scan would have produced, and in the same ``(scenario_key, repetition)``
+order.
 
 Aggregation (:meth:`WarehouseQuery.aggregate`) is
 :func:`repro.results.aggregate.aggregate` over these records, the same
@@ -50,43 +49,7 @@ class WarehouseQuery:
     def index(self) -> WarehouseIndex:
         return self._index
 
-    # -- lookups mirroring RunStore ---------------------------------------
-
-    def scenario_keys(self) -> List[str]:
-        """All indexed scenario keys, sorted."""
-        return [
-            key
-            for (key,) in self._conn.execute(
-                "SELECT DISTINCT scenario_key FROM runs ORDER BY scenario_key"
-            )
-        ]
-
-    def records_for_key(self, scenario_key: str) -> List[RunRecord]:
-        """Every indexed record of one scenario, sorted by repetition."""
-        return [
-            _record_from_row(line)
-            for (line,) in self._conn.execute(
-                "SELECT json FROM runs WHERE scenario_key = ? ORDER BY repetition",
-                (scenario_key,),
-            )
-        ]
-
-    def repetitions_present(
-        self, scenario_key: str, *, schema_version: Optional[int] = None
-    ) -> Dict[int, RunRecord]:
-        """``repetition -> record`` for one scenario, like the store's."""
-        sql = "SELECT json FROM runs WHERE scenario_key = ?"
-        params: Tuple[Any, ...] = (scenario_key,)
-        if schema_version is not None:
-            sql += " AND schema_version = ?"
-            params += (schema_version,)
-        return {
-            record.repetition: record
-            for record in (
-                _record_from_row(line)
-                for (line,) in self._conn.execute(sql + " ORDER BY repetition", params)
-            )
-        }
+    # -- lookups ------------------------------------------------------------
 
     def count(
         self,

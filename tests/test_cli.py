@@ -54,17 +54,14 @@ class TestVersionFlag:
         version = output.split()[1]
         assert version.count(".") == 2
 
-    def test_version_reads_package_metadata_with_source_fallback(self, capsys):
+    def test_version_prints_the_package_version(self, capsys):
         import repro
-        from repro.cli import _package_version
 
-        # When the distribution is not installed (src-layout test runs), the
-        # metadata lookup falls back to the source tree's __version__; an
-        # installed wheel reports its distribution version instead.
-        assert _package_version() == repro.__version__
+        # pyproject.toml reads the distribution's version from
+        # repro.__version__, so the two cannot disagree.
         with pytest.raises(SystemExit):
             main(["--version"])
-        assert capsys.readouterr().out.strip() == f"repro {_package_version()}"
+        assert capsys.readouterr().out.strip() == f"repro {repro.__version__}"
 
 
 class TestRunCommand:
@@ -389,6 +386,39 @@ class TestThinAdapterExitCodes:
         capsys.readouterr()
         assert main(["report", str(store)]) == 0
         assert "# Results report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("analyze", "--bounds", "--format", "json"), ("report",)],
+        ids=["analyze-bounds-json", "report"],
+    )
+    def test_store_killed_before_its_first_manifest_reads_like_a_flushed_one(
+        self, tmp_path, capsys, argv
+    ):
+        from repro.results.store import RunStore
+        from repro.scenarios import run_spec
+
+        spec = ScenarioSpec(
+            problem="single-source",
+            problem_params={"num_nodes": 8, "num_tokens": 6},
+            algorithm="flooding",
+            adversary="static-random",
+            adversary_params={"num_nodes": 8},
+            seed=3,
+            repetitions=2,
+        )
+        # What a first `sweep --store` killed mid-stream leaves: complete
+        # shards, and no manifest.json (the sweep saves it when it ends).
+        RunStore(tmp_path / "killed").add(
+            run_spec(spec), replace=True, save_manifest=False
+        )
+        assert not (tmp_path / "killed" / "manifest.json").exists()
+        RunStore(tmp_path / "flushed").add(run_spec(spec))
+        command, *flags = argv
+        assert main([command, str(tmp_path / "killed"), *flags]) == 0
+        killed = capsys.readouterr().out
+        assert main([command, str(tmp_path / "flushed"), *flags]) == 0
+        assert killed == capsys.readouterr().out
 
     def test_incremental_sweep_skips_cached_cells(self, tmp_path, capsys):
         store = tmp_path / "warehouse"

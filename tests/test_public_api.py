@@ -282,9 +282,10 @@ class TestCoreWithoutNumpy:
 
 class TestStdlibOnlyStartup:
     """A fresh ``import repro`` that plans one spec of each benchmark shape
-    loads nothing outside the standard library, and of ``repro`` itself
-    nothing that only running, reporting or the CLI needs: every experiment
-    process pays for what this start imports."""
+    loads nothing outside the standard library, nor sqlite3, and of
+    ``repro`` itself nothing that only running, reporting, the warehouse
+    index or the CLI needs: every experiment process pays for what this
+    start imports."""
 
     #: ``repro`` modules a start must not load (a trailing dot: any submodule).
     NOT_AT_START = (
@@ -298,9 +299,12 @@ class TestStdlibOnlyStartup:
         "repro.analysis.",
         "repro.results.report",
         "repro.results.compare",
+        "repro.obs.metrics",
         "repro.obs.tracing",
         "repro.obs.trace",
         "repro.warehouse.consolidated",
+        "repro.warehouse.index",
+        "repro.warehouse.query",
         "repro.cli",
         "repro.benchmark",
     )
@@ -352,7 +356,7 @@ class TestStdlibOnlyStartup:
                 and name.partition(".")[0] != "repro"
             ),
             "heavy": [
-                name for name in ("networkx", "numpy", "multiprocessing")
+                name for name in ("networkx", "numpy", "multiprocessing", "sqlite3")
                 if name in sys.modules
             ],
             "repro": sorted(name for name in loaded if name.partition(".")[0] == "repro"),

@@ -5,14 +5,18 @@ is byte-identical to the shard-scan path** — after a fresh build, after
 appends and after ``add(replace=True)`` the index must hold exactly the
 records a shard scan reads, so the one aggregation renders the same
 tables.  The JSONL shards stay the source of truth: corrupting the sqlite
-file must never lose data, only trigger a rebuild.
+file must never lose data, only trigger a rebuild.  And they are the one
+read path outside ``repro warehouse``: a plan, ``repro analyze`` and
+``repro report`` give the same answers whatever state a store's index is
+in, and leave it untouched.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
-import sqlite3
+import shutil
 
 import pytest
 
@@ -27,7 +31,6 @@ from repro.utils.validation import ConfigurationError
 from repro.warehouse import (
     INDEX_FILENAME,
     WarehouseIndex,
-    open_index,
     rebuild_index,
 )
 
@@ -57,6 +60,31 @@ def populated_store(tmp_path, specs=None, name="store"):
         store.add(run_spec(spec))
     store.flush()
     return store
+
+
+#: The states a store's index can be in when something else reads the store.
+INDEX_STATES = ("synced", "stale", "garbage")
+
+
+def store_with_index(tmp_path, state):
+    """A store whose index is ``state``, and an index-less copy of it.
+
+    ``stale``: synced before the store's second scenario was added.
+    """
+    spec_a, spec_b = sweep_specs()
+    store = populated_store(tmp_path, [spec_a])
+    with WarehouseIndex(store.path) as index:
+        index.sync()
+    store.add(run_spec(spec_b))
+    store.flush()
+    if state == "synced":
+        with WarehouseIndex(store.path) as index:
+            index.sync()
+    elif state == "garbage":
+        (store.path / INDEX_FILENAME).write_bytes(b"this is not a database")
+    copy = tmp_path / "noindex"
+    shutil.copytree(store.path, copy, ignore=shutil.ignore_patterns(INDEX_FILENAME))
+    return store, copy
 
 
 class TestSync:
@@ -127,15 +155,22 @@ class TestRebuildAndCorruption:
         assert rebuilt.count() == len(store.records())
         assert stats.shards_read == 2
 
-    def test_open_index_falls_back_on_corruption(self, tmp_path):
+    def test_corrupt_index_loses_no_record(self, tmp_path):
         store = populated_store(tmp_path)
+        lines = [record.to_json_line() for record in store.records()]
         WarehouseIndex(store.path).sync()
         (store.path / INDEX_FILENAME).write_bytes(b"garbage")
-        assert open_index(store.path) is None
+        with pytest.raises(ConfigurationError, match="warehouse rebuild"):
+            WarehouseIndex(store.path)
+        assert [r.to_json_line() for r in RunStore(store.path).records()] == lines
 
-    def test_open_index_without_index_file(self, tmp_path):
+    def test_index_is_created_empty_on_first_open(self, tmp_path):
         store = populated_store(tmp_path)
-        assert open_index(store.path) is None
+        assert not (store.path / INDEX_FILENAME).exists()
+        with WarehouseIndex(store.path) as index:
+            assert (store.path / INDEX_FILENAME).exists()
+            assert index.count() == 0
+            assert index.sync().rows_added == len(store.records())
 
     def test_rebuild_matches_incremental_state(self, tmp_path):
         store = populated_store(tmp_path)
@@ -155,11 +190,12 @@ class TestRebuildAndCorruption:
                 )
         with pytest.raises(ConfigurationError, match="repro warehouse rebuild"):
             WarehouseIndex(store.path)
-        assert open_index(store.path) is None
         rebuilt, stats = rebuild_index(store.path)
         assert stats.shards_read == 2
         assert rebuilt.count() == len(store.records())
-        assert open_index(store.path) is not None
+        rebuilt.close()
+        with WarehouseIndex(store.path) as index:
+            assert index.count() == len(store.records())
 
 
 class TestQueryParity:
@@ -169,20 +205,11 @@ class TestQueryParity:
         store = populated_store(tmp_path)
         index = WarehouseIndex(store.path)
         index.sync()
-        query = index.query()
-        assert query.scenario_keys() == store.scenario_keys()
-        assert [r.to_json_line() for r in query.records()] == [
+        records = index.query().records()
+        assert [r.to_json_line() for r in records] == [
             r.to_json_line() for r in store.query()
         ]
-        for key in store.scenario_keys():
-            assert [r.to_json_line() for r in query.records_for_key(key)] == [
-                r.to_json_line() for r in store.records_for_key(key)
-            ]
-            theirs = store.repetitions_present(key)
-            ours = query.repetitions_present(key)
-            assert {k: v.to_json_line() for k, v in ours.items()} == {
-                k: v.to_json_line() for k, v in theirs.items()
-            }
+        assert sorted({r.scenario_key() for r in records}) == store.scenario_keys()
 
     def test_filters(self, tmp_path):
         mixed = sweep_specs() + sweep_specs(
@@ -297,64 +324,13 @@ class TestByteIdenticalAggregation:
 
 class TestObservability:
     def test_sync_records_counters_and_timings(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
-
         store = populated_store(tmp_path)
-        registry = MetricsRegistry()
-        index = WarehouseIndex(store.path, metrics=registry)
-        index.sync()
-        index.sync()
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["warehouse.sync.calls"] == 2
-        assert snapshot["counters"]["warehouse.sync.shards_read"] == 2
-        assert snapshot["counters"]["warehouse.sync.shards_skipped"] == 2
-        assert snapshot["counters"]["warehouse.sync.rows_added"] == len(
-            store.records()
-        )
-        assert snapshot["histograms"]["warehouse.sync.seconds"]["count"] == 2
-
-
-class TestStoreListener:
-    def test_attached_index_stays_warm(self, tmp_path):
-        spec_a, spec_b = sweep_specs()
-        store = populated_store(tmp_path, [spec_a])
         index = WarehouseIndex(store.path)
-        index.sync()
-        index.attach(store)
-        store.add(run_spec(spec_b))
-        store.flush()
-        # The listener already folded the append: nothing left to re-read.
-        stats = index.sync()
-        assert stats.shards_read == 0
-        assert index.count() == len(store.records())
-        assert index.query().aggregate() == aggregate(store.query())
-
-    def test_stale_index_reconciles_on_next_sync(self, tmp_path):
-        spec_a, spec_b = sweep_specs()
-        store = populated_store(tmp_path, [spec_a])
-        index = WarehouseIndex(store.path)
-        # Attach WITHOUT syncing first: the index misses spec_a's shard
-        # content, so the append fast path must refuse the watermark and
-        # leave the shard marked for re-reading.
-        index.attach(store)
-        store.add(run_spec(spec_b))
-        store.flush()
-        index.sync()
-        assert index.count() == len(store.records())
-        assert index.query().aggregate() == aggregate(store.query())
-
-    def test_detach_stops_mirroring(self, tmp_path):
-        spec_a, spec_b = sweep_specs()
-        store = populated_store(tmp_path, [spec_a])
-        index = WarehouseIndex(store.path)
-        index.sync()
-        index.attach(store)
-        index.detach()
-        store.add(run_spec(spec_b))
-        store.flush()
-        assert index.count() == 3
-        index.sync()
-        assert index.count() == len(store.records())
+        first, second = index.sync(), index.sync()
+        assert first.shards_read + second.shards_read == 2
+        assert first.shards_skipped + second.shards_skipped == 2
+        assert first.rows_added + second.rows_added == len(store.records())
+        assert first.seconds > 0 and second.seconds > 0
 
 
 def _append_records_worker(store_path, lines, start):
@@ -429,69 +405,43 @@ class TestStoreMultiWriter:
         )
 
 
-class TestPlanFastPath:
-    def test_plan_with_index_matches_shard_scan_plan(self, tmp_path):
-        specs = sweep_specs()
-        store = populated_store(tmp_path, specs)
-        WarehouseIndex(store.path).sync()
-        indexed = Experiment.from_specs(specs).store(store.path).plan()
-        other = populated_store(tmp_path, specs, name="noindex")
-        plain = Experiment.from_specs(specs).store(other.path).plan()
-        assert len(indexed.pending) == 0
+class TestOneReadPath:
+    """A plan reads a store's shards, whatever state its index is in, and
+    neither opens nor grows the index: the next sync catches up."""
+
+    @pytest.mark.parametrize("state", INDEX_STATES)
+    def test_plan_with_index_matches_shard_scan_plan(
+        self, tmp_path, capsys, caplog, state
+    ):
+        store, copy = store_with_index(tmp_path, state)
+        before = (store.path / INDEX_FILENAME).read_bytes()
+        specs = sweep_specs(num_nodes=(6, 8, 10))
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            indexed = Experiment.from_specs(specs).store(store.path).plan()
+        plain = Experiment.from_specs(specs).store(copy).plan()
+        assert len(indexed.pending) == 3  # the n = 10 scenario
         assert [c.cached_record for c in indexed.cells] == [
             c.cached_record for c in plain.cells
         ]
+        assert caplog.records == []
+        assert capsys.readouterr().err == ""
+        assert (store.path / INDEX_FILENAME).read_bytes() == before
 
-    def test_plan_keeps_index_warm_through_run(self, tmp_path):
-        specs = sweep_specs(num_nodes=(6,))
-        store = RunStore(tmp_path / "store")
-        WarehouseIndex(store.path).sync()
-        runset = Experiment.from_specs(specs).store(store.path).run()
-        assert len(runset.records()) == 3
-        index = open_index(store.path)
-        # Records executed by the run were mirrored by the attached index.
-        stats = index.sync()
-        assert stats.shards_read == 0
-        assert index.count() == 3
-
-    def test_parallel_run_keeps_index_warm(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_run_leaves_the_index_to_the_next_sync(self, tmp_path, workers):
         specs = sweep_specs()
         store = RunStore(tmp_path / "store")
-        WarehouseIndex(store.path).sync()
-        runset = Experiment.from_specs(specs).store(store.path).run(workers=2)
+        with WarehouseIndex(store.path) as index:
+            index.sync()
+        before = (store.path / INDEX_FILENAME).read_bytes()
+        runset = Experiment.from_specs(specs).store(store.path).run(workers=workers)
         assert len(runset.records()) == 6
-        index = open_index(store.path)
-        # The parent process stores what the workers return, so the
-        # attached index mirrors every record and agrees with a shard scan.
-        assert index.sync().shards_read == 0
-        assert index.count() == 6
-        assert index.query().aggregate() == aggregate(RunStore(store.path).query())
-
-    def test_failed_index_sync_falls_back_to_shard_scans(self, tmp_path, monkeypatch):
-        specs = sweep_specs()
-        store = populated_store(tmp_path, specs)
-        WarehouseIndex(store.path).sync()
-
-        def failing_sync(self):
-            raise ConfigurationError("warehouse index failed during sync")
-
-        monkeypatch.setattr(WarehouseIndex, "sync", failing_sync)
-        fallback = Experiment.from_specs(specs).store(store.path).plan()
-        other = populated_store(tmp_path, specs, name="noindex")
-        plain = Experiment.from_specs(specs).store(other.path).plan()
-        assert len(fallback.pending) == 0
-        assert [c.cached_record for c in fallback.cells] == [
-            c.cached_record for c in plain.cells
-        ]
-        grown = Experiment.from_specs(sweep_specs(num_nodes=(6, 8, 10)))
-        assert grown.store(store.path).run().executed_count == 3
-
-        monkeypatch.undo()
-        # The index was not attached to the run, so its one new shard is
-        # folded in by the next sync.
-        index = open_index(store.path)
-        assert index.sync().shards_read == 1
-        assert index.count() == 9
+        assert (store.path / INDEX_FILENAME).read_bytes() == before
+        with WarehouseIndex(store.path) as index:
+            assert index.count() == 0
+            assert index.sync().shards_read == 2
+            assert index.count() == 6
+            assert index.query().aggregate() == aggregate(RunStore(store.path).query())
 
 
 class TestCli:
@@ -514,46 +464,25 @@ class TestCli:
         assert code == 0
         assert indexed_out == plain_out
 
-    def test_analyze_routes_through_index(self, tmp_path, capsys):
-        store = populated_store(tmp_path)
-        path = str(store.path)
-        code, plain_out, err = self.run(capsys, "analyze", path)
-        assert code == 0
-        assert "warehouse" not in err  # no index yet: plain shard scan
-        self.run(capsys, "warehouse", "sync", path)
-        code, routed_out, err = self.run(capsys, "analyze", path)
-        assert code == 0
-        assert "skipped via watermarks" in err
-        assert routed_out == plain_out
-
-    def test_report_routes_through_index(self, tmp_path, capsys):
-        store = populated_store(tmp_path)
-        path = str(store.path)
-        code, plain_out, _ = self.run(capsys, "report", path)
-        self.run(capsys, "warehouse", "sync", path)
-        code, routed_out, err = self.run(capsys, "report", path)
-        assert code == 0
-        assert "skipped via watermarks" in err
-        assert routed_out == plain_out
-
+    @pytest.mark.parametrize("state", INDEX_STATES)
     @pytest.mark.parametrize(
         "argv",
-        [("analyze", "--bounds", "--format", "json"), ("report",)],
-        ids=["analyze-bounds-json", "report"],
+        [("analyze",), ("analyze", "--bounds", "--format", "json"), ("report",)],
+        ids=["analyze", "analyze-bounds-json", "report"],
     )
     def test_indexed_store_prints_what_an_index_less_copy_prints(
-        self, tmp_path, capsys, argv
+        self, tmp_path, capsys, argv, state
     ):
         command, *flags = argv
-        store = populated_store(tmp_path)
-        self.run(capsys, "warehouse", "sync", str(store.path))
-        other = populated_store(tmp_path, name="noindex")
+        store, copy = store_with_index(tmp_path, state)
+        before = (store.path / INDEX_FILENAME).read_bytes()
         code, indexed_out, err = self.run(capsys, command, str(store.path), *flags)
         assert code == 0
-        assert "skipped via watermarks" in err
-        code, plain_out, err = self.run(capsys, command, str(other.path), *flags)
+        assert err == ""
+        assert (store.path / INDEX_FILENAME).read_bytes() == before
+        code, plain_out, err = self.run(capsys, command, str(copy), *flags)
         assert code == 0
-        assert "warehouse" not in err
+        assert err == ""
         assert indexed_out == plain_out
 
     def test_filtered_query_prints_what_analyze_prints_for_those_records(
